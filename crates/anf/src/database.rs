@@ -9,14 +9,12 @@
 //! fixed-point loop from repeated full-system rescans into incremental
 //! updates.
 //!
-//! A per-polynomial dirty set is kept alongside the global revision: each
-//! polynomial remembers the revision at which it was last modified, and
-//! [`AnfDatabase::dirty_since`] reports which indices a consumer must
-//! re-read. [`AnfDatabase::propagate`] is itself such a consumer: it
-//! propagates only the rows appended since its previous call and touches
-//! the (already fixpointed) rest of the system only when those rows
-//! actually produce new knowledge.
+//! Both operations are linear in the size of the system: a committed fact
+//! is checked for duplicates against a row index instead of a scan, and
+//! [`AnfDatabase::propagate`] is one full propagation (a no-op when nothing
+//! was committed since the previous one).
 
+use crate::system::RowIndex;
 use crate::{AnfPropagator, Polynomial, PolynomialSystem, PropagationOutcome};
 
 /// A monotonically increasing change counter. Revision 0 is the freshly
@@ -55,13 +53,11 @@ pub struct AnfDatabase {
     system: PolynomialSystem,
     propagator: AnfPropagator,
     revision: Revision,
-    /// Revision at which each polynomial (by index) was last modified.
-    /// Kept parallel to `system.polynomials()`.
-    modified: Vec<Revision>,
+    /// Duplicate check over `system`'s rows; `None` until the first
+    /// `push_unique` after construction or after a propagation rewrite.
+    rows: Option<RowIndex>,
     /// Revision observed at the end of the last [`AnfDatabase::propagate`]
-    /// call (`None` before the first). Together with `modified` this
-    /// identifies the rows appended since — the only rows an incremental
-    /// propagation has to look at.
+    /// call (`None` before the first).
     last_propagated: Option<Revision>,
 }
 
@@ -76,12 +72,11 @@ impl AnfDatabase {
     /// Creates a database from an existing system and propagation state.
     pub fn with_propagator(system: PolynomialSystem, mut propagator: AnfPropagator) -> Self {
         propagator.ensure_num_vars(system.num_vars());
-        let modified = vec![0; system.len()];
         AnfDatabase {
+            rows: None,
             system,
             propagator,
             revision: 0,
-            modified,
             last_propagated: None,
         }
     }
@@ -108,17 +103,6 @@ impl AnfDatabase {
         self.revision > revision
     }
 
-    /// Indices of the polynomials modified after `revision` was observed —
-    /// the dirty set an incremental pass must re-read.
-    pub fn dirty_since(&self, revision: Revision) -> Vec<usize> {
-        self.modified
-            .iter()
-            .enumerate()
-            .filter(|&(_, &rev)| rev > revision)
-            .map(|(idx, _)| idx)
-            .collect()
-    }
-
     /// Number of polynomial equations.
     pub fn len(&self) -> usize {
         self.system.len()
@@ -137,61 +121,28 @@ impl AnfDatabase {
     /// Appends a learnt fact unless an equal polynomial is already present.
     /// Returns `true` (and bumps the revision) when it was inserted.
     pub fn push_unique(&mut self, poly: Polynomial) -> bool {
-        if self.system.push_unique(poly) {
-            self.revision += 1;
-            self.modified.push(self.revision);
-            self.propagator.ensure_num_vars(self.system.num_vars());
-            debug_assert_eq!(self.modified.len(), self.system.len());
-            true
-        } else {
-            false
+        let rows = self
+            .rows
+            .get_or_insert_with(|| RowIndex::build(self.system.polynomials()));
+        if poly.is_zero() || !rows.insert(self.system.polynomials(), &poly) {
+            return false;
         }
+        self.system.push(poly);
+        self.revision += 1;
+        self.propagator.ensure_num_vars(self.system.num_vars());
+        true
     }
 
     /// Runs ANF propagation on the master system to a fixed point. When the
-    /// propagation rewrote the system (or recorded new knowledge), the whole
-    /// system is stamped with a new revision: propagation substitutes into
-    /// every polynomial, so a wholesale rewrite dirties everything.
+    /// propagation rewrote the system (or recorded new knowledge), the
+    /// revision is bumped.
     ///
-    /// Propagation is *incremental*: the dirty set identifies the rows
-    /// appended since the previous call, and when reducing just those rows
-    /// yields no new knowledge, the untouched prefix — already at its fixed
-    /// point — is not rescanned at all. An empty dirty set short-circuits to
-    /// a no-op. The observable outcome (counters, `system_changed`, the
-    /// resulting system) is identical to a full-system propagation.
+    /// Only [`AnfDatabase::push_unique`] and this method bump the revision,
+    /// so when the revision is the one the previous call left behind, the
+    /// system is still at its fixed point and the call is a no-op. Anything
+    /// else is one full propagation, linear in the size of the system.
     pub fn propagate(&mut self) -> PropagationOutcome {
-        let outcome = self.propagate_incremental();
-        if outcome.system_changed
-            || outcome.new_assignments > 0
-            || outcome.new_equivalences > 0
-            || outcome.contradiction
-        {
-            self.revision += 1;
-            self.modified = vec![self.revision; self.system.len()];
-        } else {
-            debug_assert_eq!(self.modified.len(), self.system.len());
-        }
-        self.last_propagated = Some(self.revision);
-        outcome
-    }
-
-    /// Chooses between the incremental suffix path and a full-system sweep.
-    fn propagate_incremental(&mut self) -> PropagationOutcome {
-        let full = |this: &mut AnfDatabase| -> PropagationOutcome {
-            this.propagator.propagate(&mut this.system)
-        };
-        // First call, or a propagator in an exceptional state: full sweep.
-        let Some(last) = self.last_propagated else {
-            return full(self);
-        };
-        if self.propagator.has_contradiction() {
-            return full(self);
-        }
-        let dirty = self.dirty_since(last);
-        if dirty.is_empty() {
-            // Fixpoint invariant: nothing was appended since the previous
-            // propagation, and only propagation itself changes knowledge, so
-            // a sweep would reduce every row to itself.
+        if self.last_propagated == Some(self.revision) && !self.propagator.has_contradiction() {
             return PropagationOutcome {
                 contradiction: false,
                 new_assignments: 0,
@@ -199,45 +150,19 @@ impl AnfDatabase {
                 system_changed: false,
             };
         }
-        let clean_len = self.system.len() - dirty.len();
-        // Appended facts form a trailing suffix (propagation stamps the
-        // whole system with one revision; `push_unique` appends at later
-        // ones). Anything else — including an all-dirty system — takes the
-        // full path.
-        if clean_len == 0 || dirty.first() != Some(&clean_len) {
-            return full(self);
+        let outcome = self.propagator.propagate(&mut self.system);
+        if outcome.system_changed {
+            self.rows = None;
         }
-        // Trial: propagate only the appended suffix against a clone of the
-        // knowledge. If that yields no new knowledge, the clean prefix
-        // (already at its fixed point under unchanged knowledge) cannot be
-        // affected, and the reduced suffix merges straight back.
-        let mut suffix = PolynomialSystem::with_num_vars(self.system.num_vars());
-        suffix.extend(self.system.iter().skip(clean_len).cloned());
-        let mut probe = self.propagator.clone();
-        let sub = probe.propagate(&mut suffix);
-        if sub.contradiction || sub.new_assignments > 0 || sub.new_equivalences > 0 {
-            // The new rows carry knowledge that reaches the prefix: redo
-            // everything from the untouched state so counters and ordering
-            // match a from-scratch sweep exactly.
-            return full(self);
+        if outcome.system_changed
+            || outcome.new_assignments > 0
+            || outcome.new_equivalences > 0
+            || outcome.contradiction
+        {
+            self.revision += 1;
         }
-        let mut merged = PolynomialSystem::with_num_vars(self.system.num_vars());
-        merged.extend(self.system.iter().take(clean_len).cloned());
-        let mut changed = sub.system_changed;
-        for poly in suffix {
-            if !merged.push_unique(poly) {
-                // The reduced row duplicates a prefix row — the full sweep's
-                // `normalize` would have dropped it too.
-                changed = true;
-            }
-        }
-        self.system = merged;
-        PropagationOutcome {
-            contradiction: false,
-            new_assignments: 0,
-            new_equivalences: 0,
-            system_changed: changed,
-        }
+        self.last_propagated = Some(self.revision);
+        outcome
     }
 
     /// Returns `true` if the propagator has derived a contradiction.
@@ -264,7 +189,6 @@ mod tests {
         let db = db("x0*x1 + x2;");
         assert_eq!(db.revision(), 0);
         assert!(!db.has_changed_since(0));
-        assert!(db.dirty_since(0).is_empty());
     }
 
     #[test]
@@ -272,7 +196,8 @@ mod tests {
         let mut db = db("x0*x1 + x2;");
         assert!(db.push_unique("x0 + x1".parse().expect("parses")));
         assert_eq!(db.revision(), 1);
-        assert_eq!(db.dirty_since(0), vec![1], "only the new row is dirty");
+        assert!(db.has_changed_since(0));
+        assert_eq!(db.len(), 2, "the new row is appended");
         // A duplicate changes nothing.
         assert!(!db.push_unique("x0 + x1".parse().expect("parses")));
         assert_eq!(db.revision(), 1);
@@ -293,8 +218,7 @@ mod tests {
         assert!(!outcome.contradiction);
         assert!(outcome.system_changed);
         assert_eq!(db.revision(), 1);
-        // The whole (rewritten) system is dirty relative to revision 0.
-        assert_eq!(db.dirty_since(0).len(), db.len());
+        assert!(db.has_changed_since(0), "the rewrite is a new revision");
     }
 
     #[test]
@@ -321,8 +245,8 @@ mod tests {
         let mut db = db("x5 + 1; x0*x1 + x2*x3;");
         db.propagate();
         assert_eq!(db.len(), 1, "x5 is propagated away");
-        // A long linear fact carries no propagatable knowledge: the suffix
-        // path keeps it verbatim and reports no change beyond the push.
+        // A long linear fact carries no propagatable knowledge: propagation
+        // keeps it verbatim and reports no change beyond the push.
         assert!(db.push_unique("x0 + x1 + x2".parse().expect("parses")));
         let rev = db.revision();
         let outcome = db.propagate();
@@ -337,8 +261,8 @@ mod tests {
     fn incremental_propagation_dedups_a_reduced_suffix_row() {
         let mut db = db("x5 + 1; x0*x1 + x2*x3;");
         db.propagate();
-        // Under x5 = 1 this reduces to the already-present x0*x1 + x2*x3;
-        // the suffix path must drop it exactly like a full sweep would.
+        // Under x5 = 1 this reduces to the already-present x0*x1 + x2*x3,
+        // so propagation drops it as a duplicate.
         assert!(db.push_unique("x0*x1*x5 + x2*x3*x5".parse().expect("parses")));
         let outcome = db.propagate();
         assert!(outcome.system_changed);
@@ -355,6 +279,18 @@ mod tests {
         assert_eq!(outcome.new_assignments, 1, "the unit fact is absorbed");
         assert_eq!(db.propagator().value(9), Some(true));
         assert_eq!(db.len(), 1, "the absorbed fact leaves the system");
+    }
+
+    #[test]
+    fn push_unique_checks_the_rewritten_rows() {
+        let mut db = db("x5 + 1; x0*x1*x5 + x2;");
+        db.propagate();
+        assert_eq!(db.system().to_string(), "x0*x1 + x2;\n");
+        // The row index follows the rewrite: the reduced row is present and
+        // the original spelling is not.
+        assert!(!db.push_unique("x0*x1 + x2".parse().expect("parses")));
+        assert!(db.push_unique("x0*x1*x5 + x2".parse().expect("parses")));
+        assert_eq!(db.len(), 2);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::{Monomial, Var};
 /// [`Polynomial::substitute_poly_with`], …) accumulate raw monomial products
 /// in a buffer, sort and cancel them in place, and emit a tightly-sized
 /// result. Threading one `TermScratch` through a hot loop (an XL expansion
-/// round, an ElimLin substitution sweep, ANF propagation) reuses that buffer
-/// across calls instead of growing a fresh vector per polynomial.
+/// round, an ElimLin substitution sweep) reuses that buffer across calls
+/// instead of growing a fresh vector per polynomial.
 #[derive(Debug, Default, Clone)]
 pub struct TermScratch {
     buf: Vec<Monomial>,

@@ -15,7 +15,7 @@
 //! representation every learning technique reads: see
 //! [`AnfDatabase`](crate::AnfDatabase).
 
-use crate::{Polynomial, PolynomialSystem, TermScratch, Var};
+use crate::{Monomial, Polynomial, PolynomialSystem, Var};
 
 /// What the propagator knows about one variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,40 +229,73 @@ impl AnfPropagator {
     /// Applies the current knowledge to `poly`, substituting determined
     /// values and equivalence representatives.
     pub fn apply_to_polynomial(&self, poly: &Polynomial) -> Polynomial {
-        self.apply_with(poly, &mut TermScratch::new())
+        self.reduce(poly, &mut Reducer::default())
+            .unwrap_or_else(|| poly.clone())
     }
 
-    /// [`AnfPropagator::apply_to_polynomial`] with a caller-provided scratch
-    /// buffer, so the propagation fixpoint loop reuses one working buffer
-    /// across every substitution of every polynomial.
-    fn apply_with(&self, poly: &Polynomial, scratch: &mut TermScratch) -> Polynomial {
-        let mut result = poly.clone();
-        loop {
-            let mut changed = false;
-            for v in result.variables() {
+    /// The image of `poly` under the current knowledge, substituted in one
+    /// pass, or `None` when every variable of `poly` is a free
+    /// representative (the image is `poly` itself, recognised without a
+    /// clone).
+    ///
+    /// Substitution is a ring homomorphism, so each monomial maps on its own
+    /// to the product of its variables' images: a value drops the variable
+    /// (1) or the whole monomial (0), and a literal contributes its root `r`
+    /// or the factor `r ⊕ 1`. Because every root is free, the images need no
+    /// second round. The product is expanded once, `r·(r ⊕ 1) = 0` drops the
+    /// monomial, and one sort-and-cancel over all the terms yields the
+    /// canonical result.
+    fn reduce(&self, poly: &Polynomial, reducer: &mut Reducer) -> Option<Polynomial> {
+        let free = |v: &Var| {
+            matches!(
+                self.knowledge.get(*v as usize),
+                None | Some(VarKnowledge::Free)
+            )
+        };
+        if poly.monomials().iter().all(|m| m.vars().iter().all(free)) {
+            return None;
+        }
+        let Reducer { terms, lits } = reducer;
+        terms.clear();
+        'monomials: for m in poly.monomials() {
+            lits.clear();
+            for &v in m.vars() {
                 match self.resolve(v) {
-                    Resolved::Value(b) => {
-                        result = result.substitute_const_with(v, b, scratch);
-                        changed = true;
-                    }
-                    Resolved::Literal { root, negated } => {
-                        if root != v || negated {
-                            result = result.substitute_literal_with(v, root, negated, scratch);
-                            changed = true;
-                        }
-                    }
+                    Resolved::Value(true) => {}
+                    Resolved::Value(false) => continue 'monomials,
+                    Resolved::Literal { root, negated } => lits.push((root, negated)),
                 }
             }
-            if !changed {
-                return result;
+            // After the dedup, a root listed twice occurs both plain and
+            // negated, and r·(r ⊕ 1) = 0 drops the monomial.
+            lits.sort_unstable();
+            lits.dedup();
+            if lits.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+                continue;
+            }
+            // ∏ r · ∏ (r ⊕ 1): each negated root doubles the terms.
+            let start = terms.len();
+            terms.push(Monomial::from_vars(
+                lits.iter().filter(|l| !l.1).map(|l| l.0),
+            ));
+            for &(root, _) in lits.iter().filter(|l| l.1) {
+                for i in start..terms.len() {
+                    let term = terms[i].mul(&Monomial::variable(root));
+                    terms.push(term);
+                }
             }
         }
+        Some(Polynomial::from_monomials(terms.drain(..)))
     }
 
     /// Runs propagation on `system` until a fixed point: extracts value and
     /// equivalence assignments from suitably-shaped polynomials, substitutes
     /// them everywhere, and repeats. The system is rewritten in place (zero
     /// polynomials are dropped, duplicates removed).
+    ///
+    /// Each sweep reduces every row under the knowledge learnt so far (rows
+    /// later in the sweep see facts from earlier ones) and commits the
+    /// rewritten rows only when the sweep ends without a contradiction.
     pub fn propagate(&mut self, system: &mut PolynomialSystem) -> PropagationOutcome {
         self.ensure_num_vars(system.num_vars());
         let mut outcome = PropagationOutcome {
@@ -271,42 +304,35 @@ impl AnfPropagator {
             new_equivalences: 0,
             system_changed: false,
         };
-        let mut scratch = TermScratch::new();
+        let mut reducer = Reducer::default();
         loop {
             let mut changed = false;
-            let mut rewritten: Vec<Polynomial> = Vec::with_capacity(system.len());
-            for poly in system.iter() {
-                let reduced = self.apply_with(poly, &mut scratch);
-                if reduced != *poly {
-                    outcome.system_changed = true;
+            let mut rewrites: Vec<(usize, Polynomial)> = Vec::new();
+            for (idx, poly) in system.iter().enumerate() {
+                let reduced = self.reduce(poly, &mut reducer);
+                let row = reduced.as_ref().unwrap_or(poly);
+                if !row.is_zero() {
+                    if !row.is_one() {
+                        changed |= self.extract_fact(row, &mut outcome);
+                    }
+                    if row.is_one() || self.contradiction {
+                        self.contradiction = true;
+                        outcome.contradiction = true;
+                        outcome.system_changed = true;
+                        return outcome;
+                    }
                 }
-                if reduced.is_zero() {
-                    continue;
+                if let Some(reduced) = reduced {
+                    rewrites.push((idx, reduced));
                 }
-                if reduced.is_one() {
-                    self.contradiction = true;
-                    outcome.contradiction = true;
-                    outcome.system_changed = true;
-                    return outcome;
-                }
-                changed |= self.extract_fact(&reduced, &mut outcome);
-                if self.contradiction {
-                    outcome.contradiction = true;
-                    outcome.system_changed = true;
-                    return outcome;
-                }
-                rewritten.push(reduced);
             }
-            if rewritten.len() != system.len() {
-                // A polynomial vanished (reduced to zero, or was zero).
+            outcome.system_changed |= !rewrites.is_empty();
+            for (idx, reduced) in rewrites {
+                system.replace(idx, reduced);
+            }
+            if system.normalize() > 0 {
                 outcome.system_changed = true;
             }
-            let mut next = PolynomialSystem::with_num_vars(system.num_vars());
-            next.extend(rewritten);
-            if next.normalize() > 0 {
-                outcome.system_changed = true;
-            }
-            *system = next;
             if !changed {
                 return outcome;
             }
@@ -399,6 +425,14 @@ impl AnfPropagator {
             }
         }
     }
+}
+
+/// Working buffers of [`AnfPropagator::reduce`], reused across rows.
+#[derive(Default)]
+struct Reducer {
+    terms: Vec<Monomial>,
+    /// The current monomial's image as `(root, negated)` literals.
+    lits: Vec<(Var, bool)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,7 +3,10 @@
 use proptest::prelude::*;
 
 use crate::naive::{NaiveMonomial, NaivePolynomial};
-use crate::{Assignment, Monomial, Polynomial, PolynomialSystem, Var};
+use crate::{
+    AnfDatabase, AnfPropagator, Assignment, Monomial, Polynomial, PolynomialSystem, TermScratch,
+    Var,
+};
 
 const MAX_VARS: u32 = 6;
 
@@ -35,6 +38,104 @@ fn arb_boundary_polynomial() -> impl Strategy<Value = Polynomial> {
 fn arb_exact_degree(degree: usize) -> impl Strategy<Value = Monomial> {
     (0..32u32)
         .prop_map(move |offset| Monomial::from_vars((0..degree as u32).map(|i| offset + 2 * i)))
+}
+
+/// Variable space of the propagation properties: small enough that random
+/// rows share variables and random knowledge reaches them.
+const PROP_VARS: u32 = 10;
+
+/// Polynomials over `PROP_VARS` variables whose monomials reach degree 7, so
+/// heap-stored monomials (degree above `Monomial::INLINE_DEGREE`) occur.
+fn arb_wide_polynomial() -> impl Strategy<Value = Polynomial> {
+    let monomial = proptest::collection::vec(0..PROP_VARS, 0..8).prop_map(Monomial::from_vars);
+    proptest::collection::vec(monomial, 0..6).prop_map(Polynomial::from_monomials)
+}
+
+/// Random knowledge: a chain of equivalences `x_i = x_{i+1} ⊕ n_i` from a
+/// random start (mostly negated), random value assignments and random
+/// equivalences, plus the fixed `x8 = ¬x9` so that `x·¬x` terms occur.
+/// Conflicting steps are refused by the propagator and leave the knowledge
+/// consistent.
+fn arb_knowledge() -> impl Strategy<Value = AnfPropagator> {
+    let chain = (0..PROP_VARS, proptest::collection::vec(0..4u8, 0..6));
+    let ops = proptest::collection::vec((0..3u8, 0..PROP_VARS, 0..PROP_VARS, any::<bool>()), 0..5);
+    (chain, ops).prop_map(|((start, links), ops)| {
+        let mut prop = AnfPropagator::new(PROP_VARS as usize);
+        prop.equate(8, 9, true);
+        for (i, link) in links.into_iter().enumerate() {
+            let a = (start + i as u32) % PROP_VARS;
+            prop.equate(a, (a + 1) % PROP_VARS, link != 0);
+        }
+        for (kind, a, b, flag) in ops {
+            match kind {
+                0 => {
+                    prop.assign(a, flag);
+                }
+                _ if a != b => {
+                    prop.equate(a, b, flag);
+                }
+                _ => {}
+            }
+        }
+        prop
+    })
+}
+
+/// The reference for one-pass substitution: substitute one variable at a
+/// time with the public single-variable methods, until nothing changes.
+fn substitute_until_stable(prop: &AnfPropagator, poly: &Polynomial) -> Polynomial {
+    let mut scratch = TermScratch::new();
+    let mut result = poly.clone();
+    loop {
+        let mut changed = false;
+        for v in result.variables() {
+            if let Some(value) = prop.value(v) {
+                result = result.substitute_const_with(v, value, &mut scratch);
+                changed = true;
+            } else if let Some((root, negated)) = prop.equivalence(v) {
+                result = result.substitute_literal_with(v, root, negated, &mut scratch);
+                changed = true;
+            }
+        }
+        if !changed {
+            return result;
+        }
+    }
+}
+
+/// A row for the dedup and propagation properties: drawn from a small pool
+/// (zero, units, two-variable equivalences, an all-ones fact) half of the
+/// time, so duplicates, zeros and propagatable facts are planted, and a
+/// random polynomial otherwise.
+fn arb_row() -> impl Strategy<Value = Polynomial> {
+    (
+        0..8u8,
+        0..MAX_VARS,
+        0..MAX_VARS,
+        any::<bool>(),
+        arb_polynomial(),
+    )
+        .prop_map(|(shape, a, b, c, random)| {
+            let constant = Polynomial::constant(c);
+            match shape {
+                0 => Polynomial::zero(),
+                1 => Polynomial::variable(a % 3) + constant,
+                2 => Polynomial::variable(a) + Polynomial::variable(b) + constant,
+                3 => Polynomial::from_monomial(Monomial::from_vars([a, b])) + Polynomial::one(),
+                _ => random,
+            }
+        })
+}
+
+/// Linear-scan reference for `PolynomialSystem::normalize`.
+fn normalize_by_scan(rows: &[Polynomial]) -> Vec<Polynomial> {
+    let mut kept: Vec<Polynomial> = Vec::new();
+    for row in rows {
+        if !row.is_zero() && !kept.contains(row) {
+            kept.push(row.clone());
+        }
+    }
+    kept
 }
 
 proptest! {
@@ -243,15 +344,80 @@ proptest! {
         }
     }
 
-    /// Occurrence lists cover exactly the polynomials a variable appears in.
+    /// One-pass substitution equals substituting one variable at a time
+    /// until stable, under random values, chains of negated equivalences,
+    /// heap-stored monomials and `x·¬x` terms.
     #[test]
-    fn occurrence_lists_are_exact(polys in proptest::collection::vec(arb_polynomial(), 1..6)) {
-        let system = PolynomialSystem::from_polynomials(polys);
-        let occ = system.occurrence_lists();
-        for (v, list) in occ.iter().enumerate() {
-            for (idx, poly) in system.iter().enumerate() {
-                let occurs = poly.contains_var(v as Var);
-                prop_assert_eq!(occurs, list.contains(&idx));
+    fn one_pass_substitution_matches_iterated_substitution(
+        p in arb_wide_polynomial(),
+        prop in arb_knowledge(),
+        extra in arb_wide_polynomial(),
+    ) {
+        prop_assert_eq!(prop.apply_to_polynomial(&p), substitute_until_stable(&prop, &p));
+        // x8·x9 under x8 = ¬x9 vanishes, whatever it multiplies.
+        let crossed = &extra * &Polynomial::from_monomial(Monomial::from_vars([8, 9]));
+        let with_crossed = p.clone() + crossed.clone();
+        prop_assert_eq!(
+            prop.apply_to_polynomial(&with_crossed),
+            substitute_until_stable(&prop, &with_crossed)
+        );
+        if prop.value(8).is_none() {
+            prop_assert!(prop.apply_to_polynomial(&crossed).is_zero());
+        }
+    }
+
+    /// `normalize` and `AnfDatabase::push_unique` keep exactly the rows a
+    /// linear scan keeps, in the same order, and report the same counts
+    /// and return values.
+    #[test]
+    fn hashed_dedup_matches_linear_scan(
+        rows in proptest::collection::vec(arb_row(), 0..24),
+        facts in proptest::collection::vec(arb_row(), 0..24),
+    ) {
+        let expected = normalize_by_scan(&rows);
+        let mut system = PolynomialSystem::from_polynomials(rows.clone());
+        prop_assert_eq!(system.normalize(), rows.len() - expected.len());
+        prop_assert_eq!(system.polynomials(), &expected[..]);
+
+        let mut db = AnfDatabase::new(PolynomialSystem::from_polynomials(rows.clone()));
+        let mut reference = rows;
+        for fact in facts {
+            let fresh = !fact.is_zero() && !reference.contains(&fact);
+            prop_assert_eq!(db.push_unique(fact.clone()), fresh);
+            if fresh {
+                reference.push(fact);
+            }
+            prop_assert_eq!(db.system().polynomials(), &reference[..]);
+        }
+    }
+
+    /// `AnfDatabase::propagate` after any run of `push_unique` calls equals
+    /// a fresh `AnfPropagator::propagate` on a copy of the database:
+    /// outcome, system and knowledge. Between propagations, `push_unique`
+    /// agrees with a scan of the rewritten system.
+    #[test]
+    fn database_propagate_matches_a_fresh_propagation(
+        rows in proptest::collection::vec(arb_row(), 0..10),
+        batches in proptest::collection::vec(proptest::collection::vec(arb_row(), 0..4), 1..6),
+    ) {
+        let mut db = AnfDatabase::new(PolynomialSystem::from_polynomials(rows));
+        for batch in std::iter::once(Vec::new()).chain(batches) {
+            for fact in batch {
+                // The duplicate check follows propagation's rewrites.
+                let fresh = !fact.is_zero() && !db.system().polynomials().contains(&fact);
+                prop_assert_eq!(db.push_unique(fact), fresh);
+            }
+            let mut system = db.system().clone();
+            let mut prop = db.propagator().clone();
+            let expected = prop.propagate(&mut system);
+            prop_assert_eq!(db.propagate(), expected);
+            prop_assert_eq!(db.system(), &system);
+            prop_assert_eq!(db.has_contradiction(), prop.has_contradiction());
+            for v in 0..prop.num_vars().max(db.num_vars()) as Var {
+                prop_assert_eq!(db.propagator().knowledge(v), prop.knowledge(v));
+            }
+            if prop.has_contradiction() {
+                break;
             }
         }
     }

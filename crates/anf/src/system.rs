@@ -1,6 +1,9 @@
 //! Systems of ANF polynomial equations.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::{Assignment, Polynomial, Var};
 
@@ -152,32 +155,22 @@ impl PolynomialSystem {
 
     /// Removes zero polynomials and exact duplicates, preserving the order of
     /// first occurrence. Returns the number of polynomials removed.
+    ///
+    /// Duplicates are found by row hash, so one call is linear in the size
+    /// of the system.
     pub fn normalize(&mut self) -> usize {
         let before = self.polynomials.len();
-        let mut seen: Vec<Polynomial> = Vec::with_capacity(before);
-        for p in self.polynomials.drain(..) {
-            if !p.is_zero() && !seen.contains(&p) {
-                seen.push(p);
+        let mut index = RowIndex::default();
+        let mut kept = 0;
+        for i in 0..before {
+            let (rows, rest) = self.polynomials.split_at(i);
+            if !rest[0].is_zero() && index.insert(&rows[..kept], &rest[0]) {
+                self.polynomials.swap(kept, i);
+                kept += 1;
             }
         }
-        self.polynomials = seen;
-        before - self.polynomials.len()
-    }
-
-    /// Builds the occurrence list: for each variable, the indices of the
-    /// polynomials it occurs in.
-    ///
-    /// This mirrors the occurrence-list optimisation Bosphorus borrows from
-    /// the SAT literature: updates to a variable only need to touch the
-    /// polynomials listed for it.
-    pub fn occurrence_lists(&self) -> Vec<Vec<usize>> {
-        let mut occ = vec![Vec::new(); self.num_vars];
-        for (idx, poly) in self.polynomials.iter().enumerate() {
-            for v in poly.variables() {
-                occ[v as usize].push(idx);
-            }
-        }
-        occ
+        self.polynomials.truncate(kept);
+        before - kept
     }
 
     /// Evaluates the whole system under `assignment`, returning `true` when
@@ -202,6 +195,38 @@ impl PolynomialSystem {
     pub fn into_polynomials(self) -> Vec<Polynomial> {
         self.polynomials
     }
+}
+
+/// A duplicate check over a list of rows: row hash → index of the first row
+/// with that hash. It stores hashes and indices, no polynomials.
+///
+/// A hit is confirmed against the row itself, and a 64-bit hash collision
+/// falls back to a scan of the rows, so the check is exact.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowIndex(HashMap<u64, usize>);
+
+impl RowIndex {
+    /// The index of `rows`.
+    pub(crate) fn build(rows: &[Polynomial]) -> Self {
+        let mut index = RowIndex::default();
+        for (i, row) in rows.iter().enumerate() {
+            index.0.entry(row_hash(row)).or_insert(i);
+        }
+        index
+    }
+
+    /// Records `poly` as the row that follows `rows` (the rows indexed so
+    /// far) unless `rows` already holds it. Returns `true` when recorded.
+    pub(crate) fn insert(&mut self, rows: &[Polynomial], poly: &Polynomial) -> bool {
+        let first = *self.0.entry(row_hash(poly)).or_insert(rows.len());
+        first == rows.len() || (rows[first] != *poly && !rows.contains(poly))
+    }
+}
+
+fn row_hash(poly: &Polynomial) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    poly.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl Extend<Polynomial> for PolynomialSystem {
@@ -311,14 +336,21 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_lists_match_paper_observation() {
-        // In the Section II-E system, x1 does not occur in the last two
-        // equations (indices 3 and 4), so its occurrence list is {0,1,2}.
-        let s = section_2e_system();
-        let occ = s.occurrence_lists();
-        assert_eq!(occ[1], vec![0, 1, 2]);
-        assert_eq!(occ[5], vec![2, 3, 4]);
-        assert!(occ[0].is_empty(), "x0 never occurs");
+    fn row_index_is_exact_under_hash_collisions() {
+        let rows: Vec<Polynomial> = vec![
+            "x0 + x1".parse().expect("parses"),
+            "x2 + 1".parse().expect("parses"),
+        ];
+        let mut index = RowIndex::build(&rows);
+        // Plant collisions: the hashes of row 1 and of an absent row point
+        // at row 0.
+        let (present, absent): (Polynomial, Polynomial) =
+            (rows[1].clone(), "x3".parse().expect("parses"));
+        index.0.insert(row_hash(&present), 0);
+        index.0.insert(row_hash(&absent), 0);
+        assert!(!index.insert(&rows, &present), "found by the fallback scan");
+        assert!(index.insert(&rows, &absent), "a collision is not a hit");
+        assert!(!index.insert(&rows, &rows[0]));
     }
 
     #[test]

@@ -17,11 +17,11 @@
 //! round, models found on it restrict to models of the database, and any
 //! literal the solver fixes at decision level zero is a consequence of the
 //! original system — exactly the contract the scratch path provides. Rows
-//! are deduplicated by polynomial *content* (the database's revision stamp
-//! marks the whole system dirty after propagation rewrites, so it cannot
-//! tell which rows actually changed), and auxiliary monomial-definition
-//! variables are shared across rounds through the monomial interner, so
-//! re-encoded rows reuse them instead of redefining them.
+//! are deduplicated by polynomial *content* (the database's revision says
+//! only that propagation rewrote the system, not which rows it changed),
+//! and auxiliary monomial-definition variables are shared across rounds
+//! through the monomial interner, so re-encoded rows reuse them instead of
+//! redefining them.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;

@@ -211,11 +211,7 @@ fn harvest_facts(facts: &mut Vec<Polynomial>, solver: &Solver, translator: &impl
     // Unit facts from decision-level-zero assignments (this subsumes the
     // learnt unit clauses).
     for lit in solver.top_level_assignments() {
-        if let Some(fact) = translator.literal_fact(lit) {
-            if !facts.contains(&fact) {
-                facts.push(fact);
-            }
-        }
+        facts.extend(translator.literal_fact(lit));
     }
     // Binary learnt clauses: (a ∨ b) together with (¬a ∨ ¬b) yields
     // A ⊕ B ⊕ 1 = 0; (a ∨ ¬b) with (¬a ∨ b) yields A ⊕ B = 0, where A and B
@@ -249,11 +245,14 @@ fn harvest_facts(facts: &mut Vec<Polynomial>, solver: &Solver, translator: &impl
         if constant {
             fact += &Polynomial::one();
         }
-        if !fact.is_zero() && !facts.contains(&fact) {
+        if !fact.is_zero() {
             facts.push(fact);
         }
     }
+    // Sorting brings equal facts together, so one dedup pass leaves each
+    // fact once: the order is total and equality is structural.
     facts.sort_by(|a, b| a.monomials().cmp(b.monomials()));
+    facts.dedup();
 }
 
 #[cfg(test)]
