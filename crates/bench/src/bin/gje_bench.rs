@@ -236,8 +236,7 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
              \"weight2_rows\": {}, \"pure_leading_rows\": {}, \"subset_cancellations\": {}, \
              \"duplicate_nnz\": {}, \"singleton_nnz\": {}, \"weight2_nnz\": {}, \
              \"pure_leading_nnz\": {}, \"subset_nnz\": {}, \
-             \"peak_interned_rows\": {}, \"peak_interned_words\": {}, \
-             \"expansion_rows_pruned\": {}, \"components_parallel\": {}}}",
+             \"components_parallel\": {}}}",
             r.rows,
             r.cols,
             r.fill,
@@ -264,9 +263,6 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
             p.weight2_nnz,
             p.pure_leading_nnz,
             p.subset_nnz,
-            p.peak_interned_rows,
-            p.peak_interned_words,
-            p.expansion_rows_pruned,
             p.components_parallel
         );
         out.push_str(if i + 1 < sparse.len() { ",\n" } else { "\n" });

@@ -5,10 +5,7 @@
 
 use std::time::Instant;
 
-use bosphorus::{
-    expansion_monomials, BosphorusConfig, CancelToken, LinearizationBuilder,
-    StreamingSparseBuilder, SUBSET_CANDIDATE_LIMIT,
-};
+use bosphorus::{expansion_monomials, CancelToken, LinearizationBuilder};
 use bosphorus_anf::{Polynomial, PolynomialSystem, TermScratch, Var};
 use bosphorus_ciphers::{aes, simon};
 use rand::rngs::StdRng;
@@ -36,23 +33,7 @@ fn build(system: &PolynomialSystem) -> LinearizationBuilder {
     builder
 }
 
-fn build_streaming(system: &PolynomialSystem) -> StreamingSparseBuilder {
-    let multipliers = expansion_monomials(&occurring_vars(system), 1);
-    let mut builder = StreamingSparseBuilder::new();
-    for poly in system.iter() {
-        builder.push(poly);
-    }
-    let mut scratch = TermScratch::new();
-    for base in system.iter() {
-        for m in multipliers.iter() {
-            builder.push_product(base, m, &mut scratch);
-        }
-    }
-    builder
-}
-
 fn probe(name: &str, system: &PolynomialSystem) {
-    let _ = BosphorusConfig::default();
     let token = CancelToken::new();
 
     // Dense-only baseline.
@@ -119,30 +100,6 @@ fn probe(name: &str, system: &PolynomialSystem) {
         pre.subset_ns as f64 / 1e6
     );
     println!("  facts {}  rank {}", facts.len(), rank);
-
-    // Streaming presolve: same facts, lower peak interned memory, rows
-    // pruned at arrival before ever being stored.
-    let streaming = build_streaming(system);
-    let start = Instant::now();
-    let (s_facts, s_rank, s_gauss, s_pre) =
-        streaming.finish_retainable_cancellable(1, &token, SUBSET_CANDIDATE_LIMIT);
-    let streaming_ns = start.elapsed().as_nanos();
-    assert_eq!(s_facts, facts, "{name}: streaming facts diverge");
-    assert_eq!(s_rank, rank, "{name}: streaming rank diverges");
-    assert_eq!(
-        s_gauss.rank, gauss.rank,
-        "{name}: streaming kernel diverges"
-    );
-    println!(
-        "  streaming {:>10.3} ms  peak rows {} / batch {} ({:>5.1}%)  \
-         peak words {}  pruned-at-arrival {}",
-        streaming_ns as f64 / 1e6,
-        s_pre.peak_interned_rows,
-        pre.peak_interned_rows,
-        s_pre.peak_interned_rows as f64 * 100.0 / pre.peak_interned_rows.max(1) as f64,
-        s_pre.peak_interned_words,
-        s_pre.expansion_rows_pruned
-    );
 }
 
 fn main() {

@@ -7,8 +7,8 @@ use bosphorus_cnf::{Clause, CnfFormula, Lit};
 use bosphorus_sat::{SolveResult, Solver, SolverConfig};
 
 use crate::{
-    anf_to_cnf, cnf_to_anf, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator, Bosphorus,
-    BosphorusConfig, CancelToken, PreprocessStatus, SolveStatus,
+    anf_to_cnf, cnf_to_anf, elimlin_learn, elimlin_on, karnaugh_clauses, xl_learn, AnfPropagator,
+    Bosphorus, BosphorusConfig, CancelToken, PreprocessStatus, SolveStatus,
 };
 
 const MAX_VARS: u32 = 5;
@@ -162,51 +162,33 @@ proptest! {
         }
     }
 
-    /// Streaming presolve, batch presolve, and the dense-only path commit
-    /// byte-identical XL facts at every thread count, and a streaming round
-    /// never holds more interned rows at once than the batch round's input
-    /// (the peak-memory monotonicity guarantee). ElimLin's fixed-point loop
-    /// is checked the same way through its public entry point.
+    /// The sparse presolve and the dense-only path commit byte-identical
+    /// XL and ElimLin facts at every thread count.
     #[test]
     fn presolve_modes_commit_identical_facts(system in arb_system(), seed in any::<u64>()) {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut reference = None;
-        let mut batch_peak = 0usize;
-        let mut streaming_peak = usize::MAX;
-        for (presolve, streaming) in [(true, true), (true, false), (false, false)] {
+        for presolve in [true, false] {
             for threads in [1usize, 2, 3, 8] {
                 let config = BosphorusConfig {
                     presolve,
-                    presolve_streaming: streaming,
                     threads,
                     ..BosphorusConfig::exhaustive()
                 };
-                let mut rng = StdRng::seed_from_u64(seed);
-                let outcome = xl_learn(&system, &config, &mut rng);
+                let xl = xl_learn(&system, &config, &mut StdRng::seed_from_u64(seed));
+                let el = elimlin_learn(&system, &config, &mut StdRng::seed_from_u64(seed));
+                let got = (xl.facts, xl.rank, el.facts, el.rounds);
                 match &reference {
-                    None => reference = Some((outcome.facts.clone(), outcome.rank)),
-                    Some((facts, rank)) => {
-                        prop_assert_eq!(
-                            facts, &outcome.facts,
-                            "facts diverge (presolve={}, streaming={}, threads={})",
-                            presolve, streaming, threads
-                        );
-                        prop_assert_eq!(*rank, outcome.rank);
-                    }
-                }
-                if presolve && streaming {
-                    streaming_peak = streaming_peak.min(outcome.presolve.peak_interned_rows);
-                } else if presolve {
-                    batch_peak = batch_peak.max(outcome.presolve.peak_interned_rows);
+                    None => reference = Some(got),
+                    Some(expected) => prop_assert_eq!(
+                        expected, &got,
+                        "facts diverge (presolve={}, threads={})",
+                        presolve, threads
+                    ),
                 }
             }
         }
-        prop_assert!(
-            streaming_peak <= batch_peak.max(1),
-            "streaming peak {} exceeds batch peak {}",
-            streaming_peak, batch_peak
-        );
     }
 
     /// Preprocessing a CNF never changes its satisfiability (the
@@ -230,86 +212,55 @@ proptest! {
     /// the uninterrupted run's — only fully-committed work survives — and
     /// (b) the database equisatisfiable with the input, i.e. the processed
     /// system plus the propagated knowledge has a solution exactly when the
-    /// original system does. Checked for both the scratch and the
-    /// incremental (warm-solver) SAT pass.
+    /// original system does.
     #[test]
     fn cancellation_is_transactional(system in arb_system(), trip in 1u64..400) {
-        for sat_incremental in [false, true] {
-            let config = BosphorusConfig { sat_incremental, ..BosphorusConfig::default() };
-            // Uninterrupted reference run: same seed, so identical pass
-            // decisions up to the point where the interrupted run stops.
-            let mut reference = Bosphorus::new(system.clone(), config.clone());
-            let _ = reference.preprocess();
+        let config = BosphorusConfig::default();
+        // Uninterrupted reference run: same seed, so identical pass
+        // decisions up to the point where the interrupted run stops.
+        let mut reference = Bosphorus::new(system.clone(), config.clone());
+        let _ = reference.preprocess();
 
-            let mut engine = Bosphorus::new(system.clone(), config);
-            engine.set_cancel_token(CancelToken::new().cancel_after_checks(trip));
-            let status = engine.preprocess();
+        let mut engine = Bosphorus::new(system.clone(), config);
+        engine.set_cancel_token(CancelToken::new().cancel_after_checks(trip));
+        let status = engine.preprocess();
 
-            prop_assert!(
-                reference.learnt_facts().starts_with(engine.learnt_facts()),
-                "interrupted facts are not a prefix of the reference run's \
-                 ({} vs {} facts, trip at {} checks, incremental={})",
-                engine.learnt_facts().len(),
-                reference.learnt_facts().len(),
-                trip,
-                sat_incremental
-            );
+        prop_assert!(
+            reference.learnt_facts().starts_with(engine.learnt_facts()),
+            "interrupted facts are not a prefix of the reference run's \
+             ({} vs {} facts, trip at {} checks)",
+            engine.learnt_facts().len(),
+            reference.learnt_facts().len(),
+            trip
+        );
 
-            let n = system.num_vars();
-            let knowledge_holds = |engine: &Bosphorus, a: &Assignment| {
-                use crate::VarKnowledge;
-                (0..n as u32).all(|v| match engine.propagator().knowledge(v) {
-                    VarKnowledge::Free => true,
-                    VarKnowledge::Value(b) => a.get(v) == b,
-                    VarKnowledge::Equivalent { other, negated } => {
-                        a.get(v) == (a.get(other) ^ negated)
-                    }
-                })
-            };
-            let restored_sat = match status {
-                PreprocessStatus::Solved(_) => true,
-                PreprocessStatus::Unsat => false,
-                PreprocessStatus::Simplified | PreprocessStatus::Interrupted => (0u64..(1 << n))
-                    .any(|bits| {
-                        let a = Assignment::from_bits((0..n).map(|i| (bits >> i) & 1 == 1));
-                        engine.processed_system().is_satisfied_by(&a)
-                            && knowledge_holds(&engine, &a)
-                    }),
-            };
-            prop_assert_eq!(
-                brute_force_sat(&system),
-                restored_sat,
-                "interrupted database lost equisatisfiability (status {:?}, incremental={})",
-                status,
-                sat_incremental
-            );
-        }
-    }
-
-    /// The incremental SAT pass is invisible to the engine: preprocessing
-    /// with the warm solver on or off produces the same verdict, genuine
-    /// models, and identical learnt facts.
-    #[test]
-    fn incremental_sat_pass_is_invisible(system in arb_system()) {
-        let expected = brute_force_sat(&system);
-        let mut fact_sets = Vec::new();
-        for sat_incremental in [false, true] {
-            let config = BosphorusConfig { sat_incremental, ..BosphorusConfig::default() };
-            let mut engine = Bosphorus::new(system.clone(), config);
-            match engine.solve(&SolverConfig::aggressive()) {
-                SolveStatus::Sat(a) => {
-                    prop_assert!(expected, "SAT verdict on an UNSAT system (incremental={})", sat_incremental);
-                    prop_assert!(system.is_satisfied_by(&a));
+        let n = system.num_vars();
+        let knowledge_holds = |engine: &Bosphorus, a: &Assignment| {
+            use crate::VarKnowledge;
+            (0..n as u32).all(|v| match engine.propagator().knowledge(v) {
+                VarKnowledge::Free => true,
+                VarKnowledge::Value(b) => a.get(v) == b,
+                VarKnowledge::Equivalent { other, negated } => {
+                    a.get(v) == (a.get(other) ^ negated)
                 }
-                SolveStatus::Unsat => prop_assert!(!expected, "UNSAT verdict on a SAT system (incremental={})", sat_incremental),
-                SolveStatus::Interrupted => prop_assert!(false, "no cancel token was set"),
-            }
-            fact_sets.push(engine.learnt_facts().to_vec());
-        }
+            })
+        };
+        let restored_sat = match status {
+            PreprocessStatus::Solved(_) => true,
+            PreprocessStatus::Unsat => false,
+            PreprocessStatus::Simplified | PreprocessStatus::Interrupted => (0u64..(1 << n))
+                .any(|bits| {
+                    let a = Assignment::from_bits((0..n).map(|i| (bits >> i) & 1 == 1));
+                    engine.processed_system().is_satisfied_by(&a)
+                        && knowledge_holds(&engine, &a)
+                }),
+        };
         prop_assert_eq!(
-            &fact_sets[0],
-            &fact_sets[1],
-            "learnt facts diverge between scratch and incremental runs"
+            brute_force_sat(&system),
+            restored_sat,
+            "interrupted database lost equisatisfiability (status {:?})",
+            status
         );
     }
+
 }

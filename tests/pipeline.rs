@@ -170,3 +170,34 @@ fn reconstructed_assignments_cover_eliminated_variables() {
     }
     let _ = Assignment::all_false(0);
 }
+
+#[test]
+fn interrupted_simon_2_8_preprocess_commits_a_prefix_of_the_full_run() {
+    use bosphorus_repro::core::{CancelToken, PreprocessStatus};
+    let path = format!(
+        "{}/examples/instances/simon_2_8.anf",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let system = bosphorus_repro::anf::PolynomialSystem::parse(&text)
+        .unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    let config = BosphorusConfig {
+        max_iterations: 3,
+        sat_conflict_budget: 200,
+        sat_budget_max: 200,
+        ..BosphorusConfig::default()
+    };
+    // Reference: the uninterrupted run.
+    let mut reference = Bosphorus::new(system.clone(), config.clone());
+    let _ = reference.preprocess();
+    // Interrupted run: trip the token mid-flight, then confirm only whole
+    // units of work were committed (a prefix of the reference's facts).
+    let mut engine = Bosphorus::new(system.clone(), config);
+    engine.set_cancel_token(CancelToken::new().cancel_after_checks(40));
+    let status = engine.preprocess();
+    assert_eq!(status, PreprocessStatus::Interrupted);
+    assert!(
+        reference.learnt_facts().starts_with(engine.learnt_facts()),
+        "interrupted run committed partial work"
+    );
+}

@@ -10,7 +10,8 @@
 //! silently weakening learnt clauses.
 //!
 //! The proptest shim seeds deterministically per test name, so CI runs the
-//! same cases every time.
+//! same cases every time. The assumption API (`solve_with_assumptions` and
+//! its failed-assumption core) is pinned by a direct test at the end.
 
 use bosphorus_repro::cnf::{Clause, CnfFormula, Lit};
 use bosphorus_repro::sat::{SolveResult, Solver, SolverConfig, XorConstraint};
@@ -179,4 +180,45 @@ proptest! {
         config.verify_minimization = true;
         check_differential(&cnf, &xors, config);
     }
+}
+
+#[test]
+fn contradictory_assumptions_return_an_unsat_core() {
+    // x0 ∨ x1, ¬x0 ∨ x2, ¬x1 ∨ x2: satisfiable, but not under the
+    // assumptions ¬x2 (forces ¬x0 ∧ ¬x1) — the failed core must itself be
+    // unsatisfiable together with the formula.
+    let mut solver = Solver::new(SolverConfig::aggressive());
+    solver.new_vars(3);
+    solver.add_clause([Lit::positive(0), Lit::positive(1)]);
+    solver.add_clause([Lit::negative(0), Lit::positive(2)]);
+    solver.add_clause([Lit::negative(1), Lit::positive(2)]);
+    assert_eq!(solver.solve(), SolveResult::Sat);
+
+    let assumptions = [Lit::negative(2), Lit::positive(0)];
+    assert_eq!(
+        solver.solve_with_assumptions(&assumptions),
+        SolveResult::Unsat
+    );
+    let core = solver.failed_assumptions().to_vec();
+    assert!(!core.is_empty(), "an unsat assumption call names a core");
+    assert!(
+        core.iter().all(|lit| assumptions.contains(lit)),
+        "the core is a subset of the assumptions"
+    );
+
+    // Adding the core as unit clauses to a fresh copy of the formula must
+    // make it unsatisfiable: the core really is a reason for the failure.
+    let mut fresh = Solver::new(SolverConfig::aggressive());
+    fresh.new_vars(3);
+    fresh.add_clause([Lit::positive(0), Lit::positive(1)]);
+    fresh.add_clause([Lit::negative(0), Lit::positive(2)]);
+    fresh.add_clause([Lit::negative(1), Lit::positive(2)]);
+    for lit in &core {
+        fresh.add_clause([*lit]);
+    }
+    assert_eq!(fresh.solve(), SolveResult::Unsat);
+
+    // The solver survives the failed call: the next assumption-free solve
+    // still reports SAT.
+    assert_eq!(solver.solve(), SolveResult::Sat);
 }
