@@ -1,17 +1,11 @@
 //! Records the GF(2) elimination-kernel baseline: schoolbook ("plain", the
-//! seed kernel) vs single-table M4RM (the PR-2 kernel) vs the in-place
-//! three-table blocked kernel, across matrix sizes from the 64-bit word
-//! boundaries up to paper scale (4096×4096 and an XL-shaped 2048×16384 wide
-//! case). Shapes of 2048 rows/columns and up additionally time the blocked
-//! kernel at 2, 4, and 8 row-band update threads (the result is bit-identical
-//! to serial, so only wall clock varies).
+//! seed kernel and the tests' reference) vs the in-place three-table blocked
+//! M4RM kernel, across matrix sizes from the 64-bit word boundaries up to
+//! paper scale (4096×4096 and an XL-shaped 2048×16384 wide case).
 //!
 //! Emits a machine-readable `BENCH_gje.json` next to the human-readable
 //! table — the repo's recorded perf baseline for the XL/ElimLin hot path.
-//! `host_cpus` records the parallelism available where the numbers were
-//! taken: thread-scaling rows from a single-core host are expected to be
-//! flat, and the recorded `speedup_4096_par4_vs_serial` headline is only
-//! meaningful alongside it.
+//! `host_cpus` records the host the numbers were taken on.
 //!
 //! ```text
 //! cargo run --release -p bosphorus-bench --bin gje_bench -- [--quick] [--out PATH] [--seed N]
@@ -37,28 +31,12 @@ struct SizeResult {
     auto_kernel: &'static str,
     reps: usize,
     plain_ns: u128,
-    m4rm_ns: u128,
     blocked_ns: u128,
-    /// Blocked-kernel wall clock at >1 row-band threads, as
-    /// `(threads, best_ns)` pairs; empty for shapes below the parallel
-    /// measurement cutoff.
-    par_ns: Vec<(usize, u128)>,
 }
 
 impl SizeResult {
-    fn speedup_m4rm_vs_plain(&self) -> f64 {
-        self.plain_ns as f64 / self.m4rm_ns.max(1) as f64
-    }
-
-    fn speedup_blocked_vs_m4rm(&self) -> f64 {
-        self.m4rm_ns as f64 / self.blocked_ns.max(1) as f64
-    }
-
-    fn speedup_par_vs_serial(&self, threads: usize) -> Option<f64> {
-        self.par_ns
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, ns)| self.blocked_ns as f64 / ns.max(1) as f64)
+    fn speedup_blocked_vs_plain(&self) -> f64 {
+        self.plain_ns as f64 / self.blocked_ns.max(1) as f64
     }
 }
 
@@ -107,7 +85,7 @@ fn measure_sparse(m: &SparseMatrix, reps: usize) -> SparseResult {
     for _ in 0..reps {
         let start = Instant::now();
         let mut a = m.to_dense();
-        dense_rank = a.gauss_jordan_with_stats(1).rank;
+        dense_rank = a.gauss_jordan_with_stats().rank;
         dense_only_ns = dense_only_ns.min(start.elapsed().as_nanos());
     }
     let mut presolve_total_ns = u128::MAX;
@@ -134,37 +112,17 @@ fn measure_sparse(m: &SparseMatrix, reps: usize) -> SparseResult {
     }
 }
 
-/// Row-band thread counts timed on the large shapes (1 is `blocked_ns`).
-const PAR_THREADS: &[usize] = &[2, 4, 8];
-
-/// Shapes this large get per-thread-count rows in the output.
-const PAR_MIN_DIM: usize = 2048;
-
 fn measure(m: &BitMatrix, reps: usize) -> SizeResult {
     let (rows, cols) = (m.nrows(), m.ncols());
     let k = m4rm_block_size(rows, cols);
-    let auto_kernel = match select_kernel(rows, cols, 1) {
+    let auto_kernel = match select_kernel(rows, cols) {
         KernelChoice::Plain => "plain",
-        KernelChoice::M4rm(_) => "m4rm",
-        KernelChoice::BlockedM4rm { .. } => "blocked",
+        KernelChoice::BlockedM4rm(_) => "blocked",
     };
     let (plain_ns, plain_rank) = time_best(m, reps, |a| a.gauss_jordan_plain_with_stats().rank);
-    let (m4rm_ns, m4rm_rank) = time_best(m, reps, |a| a.gauss_jordan_m4rm_with_stats(k).rank);
-    let (blocked_ns, blocked_rank) = time_best(m, reps, |a| {
-        a.gauss_jordan_blocked_m4rm_with_stats(k, 1).rank
-    });
-    assert_eq!(plain_rank, m4rm_rank, "M4RM kernel disagrees");
+    let (blocked_ns, blocked_rank) =
+        time_best(m, reps, |a| a.gauss_jordan_blocked_m4rm_with_stats(k).rank);
     assert_eq!(plain_rank, blocked_rank, "blocked kernel disagrees");
-    let mut par_ns = Vec::new();
-    if rows.max(cols) >= PAR_MIN_DIM {
-        for &threads in PAR_THREADS {
-            let (ns, rank) = time_best(m, reps, |a| {
-                a.gauss_jordan_blocked_m4rm_with_stats(k, threads).rank
-            });
-            assert_eq!(plain_rank, rank, "parallel blocked kernel disagrees");
-            par_ns.push((threads, ns));
-        }
-    }
     SizeResult {
         rows,
         cols,
@@ -173,9 +131,7 @@ fn measure(m: &BitMatrix, reps: usize) -> SizeResult {
         auto_kernel,
         reps,
         plain_ns,
-        m4rm_ns,
         blocked_ns,
-        par_ns,
     }
 }
 
@@ -195,9 +151,8 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
             out,
             "    {{\"rows\": {}, \"cols\": {}, \"rank\": {}, \"k\": {}, \
              \"auto_kernel\": \"{}\", \"reps\": {}, \
-             \"plain_ns\": {}, \"m4rm_ns\": {}, \"blocked_ns\": {}, \
-             \"speedup_m4rm_vs_plain\": {:.2}, \"speedup_blocked_vs_m4rm\": {:.2}, \
-             \"par_ns\": {{",
+             \"plain_ns\": {}, \"blocked_ns\": {}, \
+             \"speedup_blocked_vs_plain\": {:.2}}}",
             r.rows,
             r.cols,
             r.rank,
@@ -205,16 +160,9 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
             r.auto_kernel,
             r.reps,
             r.plain_ns,
-            r.m4rm_ns,
             r.blocked_ns,
-            r.speedup_m4rm_vs_plain(),
-            r.speedup_blocked_vs_m4rm()
+            r.speedup_blocked_vs_plain()
         );
-        for (j, &(threads, ns)) in r.par_ns.iter().enumerate() {
-            let sep = if j + 1 < r.par_ns.len() { ", " } else { "" };
-            let _ = write!(out, "\"{threads}\": {ns}{sep}");
-        }
-        out.push_str("}}");
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
@@ -268,19 +216,15 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
         out.push_str(if i + 1 < sparse.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-    let headline = |rows: usize, cols: usize, f: &dyn Fn(&SizeResult) -> Option<f64>| {
+    let headline = |rows: usize, cols: usize| {
         results
             .iter()
             .find(|r| r.rows == rows && r.cols == cols)
-            .and_then(f)
+            .map(SizeResult::speedup_blocked_vs_plain)
     };
-    // The recorded headline numbers: the PR-2 M4RM gain over the seed kernel
-    // at 1024x1024 (kept for continuity; CI greps it), the blocked kernel's
-    // gain over M4RM at 4096x4096, and the 4-thread band-parallel gain over
-    // the serial blocked kernel at 4096x4096. On a single-CPU host the
-    // parallel headline only measures channel overhead, so it is recorded
-    // as null and `single_cpu_host` is set instead of publishing a
-    // meaningless ~1.0x.
+    // The recorded headline numbers: the blocked kernel's gain over the
+    // seed kernel at 1024x1024 (measured in quick mode too; CI greps it) and
+    // at 4096x4096 (full mode only; null in quick mode).
     let emit = |out: &mut String, key: &str, value: Option<f64>, comma: bool| {
         let sep = if comma { "," } else { "" };
         match value {
@@ -294,24 +238,14 @@ fn to_json(results: &[SizeResult], sparse: &[SparseResult], mode: &str, seed: u6
     };
     emit(
         &mut out,
-        "speedup_1024_m4rm_vs_plain",
-        headline(1024, 1024, &|r| Some(r.speedup_m4rm_vs_plain())),
+        "speedup_1024_blocked_vs_plain",
+        headline(1024, 1024),
         true,
     );
     emit(
         &mut out,
-        "speedup_4096_blocked_vs_m4rm",
-        headline(4096, 4096, &|r| Some(r.speedup_blocked_vs_m4rm())),
-        true,
-    );
-    emit(
-        &mut out,
-        "speedup_4096_par4_vs_serial",
-        if single_cpu_host {
-            None
-        } else {
-            headline(4096, 4096, &|r| r.speedup_par_vs_serial(4))
-        },
+        "speedup_4096_blocked_vs_plain",
+        headline(4096, 4096),
         true,
     );
     // The presolve headline: best sparse-path gain over densify-then-
@@ -349,7 +283,7 @@ fn main() {
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
-    // (rows, cols) grid. 1024x1024 stays in quick mode (the recorded M4RM
+    // (rows, cols) grid. 1024x1024 stays in quick mode (the recorded
     // headline the CI smoke check relies on); 2048x2048 joins it so the
     // blocked kernel's auto-selected regime is exercised on every CI run.
     // Full mode adds paper scale: 4096x4096 and the XL-shaped 2048x16384.
@@ -376,8 +310,8 @@ fn main() {
     let mut results = Vec::new();
     println!("GF(2) Gauss-Jordan kernels, dense random matrices (best of N reps):");
     println!(
-        "{:>12} {:>6} {:>2} {:>8} {:>4} {:>14} {:>14} {:>14} {:>8} {:>8}",
-        "size", "rank", "k", "auto", "reps", "plain", "m4rm", "blocked", "m4/pl", "bl/m4"
+        "{:>12} {:>6} {:>2} {:>8} {:>4} {:>14} {:>14} {:>8}",
+        "size", "rank", "k", "auto", "reps", "plain", "blocked", "bl/pl"
     );
     for &(rows, cols) in sizes {
         // Big matrices pay most of their wall clock in the first rep; the
@@ -392,26 +326,16 @@ fn main() {
         let m = random_dense_matrix(&mut rng, rows, cols);
         let r = measure(&m, reps);
         println!(
-            "{:>12} {:>6} {:>2} {:>8} {:>4} {:>12}ns {:>12}ns {:>12}ns {:>7.2}x {:>7.2}x",
+            "{:>12} {:>6} {:>2} {:>8} {:>4} {:>12}ns {:>12}ns {:>7.2}x",
             format!("{rows}x{cols}"),
             r.rank,
             r.k,
             r.auto_kernel,
             r.reps,
             r.plain_ns,
-            r.m4rm_ns,
             r.blocked_ns,
-            r.speedup_m4rm_vs_plain(),
-            r.speedup_blocked_vs_m4rm()
+            r.speedup_blocked_vs_plain()
         );
-        for &(threads, ns) in &r.par_ns {
-            println!(
-                "{:>12} {:>48}ns {:>7.2}x vs serial",
-                format!("  .. {threads} threads"),
-                ns,
-                r.blocked_ns as f64 / ns.max(1) as f64
-            );
-        }
         results.push(r);
     }
 
@@ -451,24 +375,8 @@ fn main() {
     println!("\nwrote {out_path}");
     if let Some(r) = results.iter().find(|r| r.rows == 4096 && r.cols == 4096) {
         println!(
-            "4096x4096 blocked speedup over single-table M4RM: {:.2}x \
-             ({:.2}x over the seed kernel)",
-            r.speedup_blocked_vs_m4rm(),
-            r.plain_ns as f64 / r.blocked_ns.max(1) as f64
+            "4096x4096 blocked speedup over the seed kernel: {:.2}x",
+            r.speedup_blocked_vs_plain()
         );
-        if let Some(s) = r.speedup_par_vs_serial(4) {
-            let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-            if host_cpus > 1 {
-                println!(
-                    "4096x4096 4-thread speedup over serial blocked: {s:.2}x \
-                     (host has {host_cpus} CPU(s))"
-                );
-            } else {
-                println!(
-                    "4096x4096 4-thread run measured only channel overhead \
-                     (single-CPU host); parallel headline recorded as null"
-                );
-            }
-        }
     }
 }

@@ -87,15 +87,8 @@ struct XlRoundResult {
     naive_term_ns: u128,
     /// Term-layer time of the production round.
     fast_term_ns: u128,
-    /// Shared elimination-kernel time (taken from the production run, at one
-    /// thread — kept serial so the number stays comparable across recorded
-    /// baselines).
+    /// Shared elimination-kernel time (taken from the production run).
     gauss_ns: u128,
-    /// The same elimination phase at >1 row-band threads, as
-    /// `(threads, best_ns)` pairs. The result is bit-identical to the serial
-    /// run; on a single-core host these are expected to sit at or slightly
-    /// above `gauss_ns`.
-    gauss_par_ns: Vec<(usize, u128)>,
     /// Whole-round times, kernel included, for context.
     naive_total_ns: u128,
     fast_total_ns: u128,
@@ -173,7 +166,7 @@ fn fast_xl_round(system: &PolynomialSystem, multipliers: &[bosphorus_anf::Monomi
     let mut term_ns = term_start.elapsed().as_nanos();
 
     let gauss_start = Instant::now();
-    lin.matrix_mut().gauss_jordan_with_stats(1);
+    lin.matrix_mut().gauss_jordan_with_stats();
     let gauss_ns = gauss_start.elapsed().as_nanos();
 
     // Retainable-only readback, exactly as `xl_learn` performs it: the
@@ -233,7 +226,7 @@ fn naive_xl_round(polys: &[NaivePolynomial], multipliers: &[NaiveMonomial]) -> R
     let mut term_ns = term_start.elapsed().as_nanos();
 
     let gauss_start = Instant::now();
-    matrix.gauss_jordan_with_stats(1);
+    matrix.gauss_jordan_with_stats();
     let gauss_ns = gauss_start.elapsed().as_nanos();
 
     let readback_start = Instant::now();
@@ -302,50 +295,6 @@ fn best_run(reps: usize, mut f: impl FnMut() -> RoundRun) -> RoundRun {
     best.expect("reps >= 1")
 }
 
-/// Row-band thread counts the GJE phase is additionally timed at
-/// (1 is the recorded `gauss_ns`).
-const GJE_THREADS: &[usize] = &[2, 4, 8];
-
-/// Times just the Gauss–Jordan phase of the production round at each entry
-/// of [`GJE_THREADS`], on clones of the already-built linearisation matrix
-/// (best of `reps`). The per-thread results are asserted rank-identical to
-/// the serial elimination before being reported.
-fn measure_gauss_threads(
-    system: &PolynomialSystem,
-    multipliers: &[bosphorus_anf::Monomial],
-    reps: usize,
-) -> Vec<(usize, u128)> {
-    let mut builder = LinearizationBuilder::new();
-    for poly in system.iter() {
-        builder.push(poly);
-    }
-    let mut scratch = TermScratch::new();
-    for base in system.iter() {
-        for m in multipliers {
-            builder.push_product(base, m, &mut scratch);
-        }
-    }
-    let lin = builder.finish();
-    let serial_rank = {
-        let mut m = lin.matrix().clone();
-        m.gauss_jordan_with_stats(1).rank
-    };
-    GJE_THREADS
-        .iter()
-        .map(|&threads| {
-            let mut best = u128::MAX;
-            for _ in 0..reps {
-                let mut m = lin.matrix().clone();
-                let start = Instant::now();
-                let stats = m.gauss_jordan_with_stats(threads);
-                best = best.min(start.elapsed().as_nanos());
-                assert_eq!(stats.rank, serial_rank, "parallel GJE rank diverges");
-            }
-            (threads, best)
-        })
-        .collect()
-}
-
 fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRoundResult {
     // Shared inputs, pre-built in each configuration's own representation.
     let multipliers = expansion_monomials(&occurring_vars(system), 1);
@@ -354,7 +303,6 @@ fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRou
         multipliers.iter().map(NaiveMonomial::from).collect();
     let naive = best_run(reps, || naive_xl_round(&naive_polys, &naive_multipliers));
     let fast = best_run(reps, || fast_xl_round(system, &multipliers));
-    let gauss_par_ns = measure_gauss_threads(system, &multipliers, reps);
     assert_eq!(
         (fast.rows, fast.cols, fast.rank),
         (naive.rows, naive.cols, naive.rank),
@@ -391,7 +339,6 @@ fn measure_xl_round(name: &str, system: &PolynomialSystem, reps: usize) -> XlRou
         naive_term_ns: naive.term_ns,
         fast_term_ns: fast.term_ns,
         gauss_ns: fast.gauss_ns,
-        gauss_par_ns,
         naive_total_ns: naive.total_ns(),
         fast_total_ns: fast.total_ns(),
         presolve_round_ns,
@@ -497,7 +444,7 @@ fn to_json(
             "    {{\"name\": \"{}\", \"rows\": {}, \"cols\": {}, \"rank\": {}, \
              \"facts\": {}, \"reps\": {}, \
              \"naive_term_ns\": {}, \"fast_term_ns\": {}, \"term_speedup\": {:.2}, \
-             \"gauss_ns\": {}, \"gauss_par_ns\": {{",
+             \"gauss_ns\": {}, ",
             r.name,
             r.rows,
             r.cols,
@@ -509,17 +456,9 @@ fn to_json(
             r.term_speedup(),
             r.gauss_ns
         );
-        for (j, &(threads, ns)) in r.gauss_par_ns.iter().enumerate() {
-            let sep = if j + 1 < r.gauss_par_ns.len() {
-                ", "
-            } else {
-                ""
-            };
-            let _ = write!(out, "\"{threads}\": {ns}{sep}");
-        }
         let _ = write!(
             out,
-            "}}, \"naive_total_ns\": {}, \"fast_total_ns\": {}, \"total_speedup\": {:.2}, ",
+            "\"naive_total_ns\": {}, \"fast_total_ns\": {}, \"total_speedup\": {:.2}, ",
             r.naive_total_ns,
             r.fast_total_ns,
             r.total_speedup()
@@ -684,13 +623,6 @@ fn main() {
             r.gauss_ns as f64 / 1e6,
             r.total_speedup()
         );
-        for &(threads, ns) in &r.gauss_par_ns {
-            println!(
-                "      gje @ {threads} threads {:>9.3} ms ({:.2}x vs serial)",
-                ns as f64 / 1e6,
-                r.gauss_ns as f64 / ns.max(1) as f64
-            );
-        }
         let p = &r.presolve;
         println!(
             "      presolve {:>9.3} ms + dense cores {:>9.3} ms ({:.2}x vs dense gje) \

@@ -39,7 +39,7 @@ fn probe(name: &str, system: &PolynomialSystem) {
     // Dense-only baseline.
     let mut lin = build(system).finish();
     let start = Instant::now();
-    let stats = lin.matrix_mut().gauss_jordan_with_stats(1);
+    let stats = lin.matrix_mut().gauss_jordan_with_stats();
     let dense_only_ns = start.elapsed().as_nanos();
     let (dense_facts, dense_rank) = lin.retainable_rows();
     drop(lin);

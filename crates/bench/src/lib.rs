@@ -18,13 +18,11 @@
 
 pub mod args;
 pub mod par2;
-pub mod parallel;
 pub mod runner;
 pub mod tables;
 
 pub use args::{Table2Args, TABLE2_USAGE};
 pub use par2::{Par2Scorer, ScoredRun};
-pub use parallel::run_indexed;
 
 use bosphorus_gf2::{BitMatrix, SparseMatrix};
 use rand::rngs::StdRng;

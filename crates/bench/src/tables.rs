@@ -7,13 +7,13 @@ use std::time::Instant;
 use bosphorus_anf::PolynomialSystem;
 use bosphorus_ciphers::{aes, bitcoin, satcomp, simon};
 use bosphorus_cnf::CnfFormula;
+use bosphorus_gf2::run_indexed;
 use bosphorus_groebner::{groebner_basis, GroebnerConfig, GroebnerOutcome};
 use bosphorus_sat::SolverConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::par2::{Par2Scorer, ScoredRun};
-use crate::parallel::run_indexed;
 use crate::runner::{solve_anf_instance, solve_cnf_instance, Approach, RunSettings};
 
 /// Which benchmark families to run and how many instances per family.

@@ -66,9 +66,10 @@ pipeline:
   --max-iterations N    cap the number of pipeline iterations
   --sat-budget N        initial SAT conflict budget C
   --seed N              subsampling RNG seed
-  --threads N           row-band update threads for the GF(2) elimination
-                        inside the XL/ElimLin passes (default 1; the learnt
-                        facts are bit-identical at every thread count)
+  --threads N           worker threads that eliminate the presolve's
+                        independent components inside the XL/ElimLin
+                        passes in parallel (default 1; the learnt facts are
+                        bit-identical at every thread count)
   --no-presolve         skip the sparse structural presolve and hand the
                         XL/ElimLin matrices straight to the dense GF(2)
                         kernel (the learnt facts are identical either way;
@@ -190,7 +191,7 @@ pub struct CliOptions {
     pub sat_budget: Option<u64>,
     /// Override of the RNG seed.
     pub seed: Option<u64>,
-    /// Override of the GF(2) elimination thread count (see
+    /// Override of the component-parallel elimination thread count (see
     /// [`BosphorusConfig::threads`]).
     pub threads: Option<usize>,
     /// Disable the sparse structural presolve in front of the dense GF(2)
@@ -542,8 +543,7 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
         let _ = write!(
             out,
             "\n    {{\"name\": \"{}\", \"runs\": {}, \"skips\": {}, \"facts\": {}, \
-             \"gauss_rank\": {}, \"gauss_row_xors\": {}, \"gauss_threads\": {}, \
-             \"gauss_bands\": {}, \"gauss_tables_per_sweep\": {}, \
+             \"gauss_rank\": {}, \"gauss_row_xors\": {}, \
              \"sat_conflicts\": {}, \"sat_learnt\": {}, \"sat_removed\": {}, \
              \"sat_minimized_lits\": {}, \"sat_restarts\": {}, \
              \"time_ms\": {:.3}, ",
@@ -553,9 +553,6 @@ pub fn stats_json(stats: &EngineStats, status: &str) -> String {
             pass.facts,
             pass.gauss.rank,
             pass.gauss.row_xors,
-            pass.gauss.threads,
-            pass.gauss.bands,
-            pass.gauss.tables_per_sweep,
             pass.sat_conflicts,
             pass.sat_learnt,
             pass.sat_removed,

@@ -81,11 +81,12 @@ pub struct BosphorusConfig {
     /// Seed for the subsampling random number generator, fixed for
     /// reproducibility of experiments.
     pub rng_seed: u64,
-    /// Row-band update threads for the GF(2) elimination kernel used by the
-    /// XL and ElimLin passes (the CLI's `--threads`). The elimination result
-    /// is bit-identical at every thread count — small matrices are clamped
-    /// back to serial by `bosphorus_gf2::select_kernel` — so this only
-    /// changes wall-clock, never learnt facts. Default 1 (serial).
+    /// Worker threads for the XL and ElimLin eliminations (the CLI's
+    /// `--threads`): the independent residual components the sparse presolve
+    /// leaves are eliminated in parallel, each by the serial dense kernel.
+    /// The result is bit-identical at every thread count, so this only
+    /// changes wall-clock, never learnt facts; it has no effect with the
+    /// presolve off. Default 1 (serial).
     pub threads: usize,
     /// Whether the XL and ElimLin eliminations run the sparse structural
     /// presolve (singleton, duplicate, weight-2, pure-leading-column and

@@ -91,10 +91,10 @@ pub fn elimlin_learn_cancellable<R: Rng>(
 }
 
 /// Runs ElimLin on exactly the given polynomials (no subsampling).
-/// `threads` is the row-band parallelism of each round's GF(2) elimination
-/// (1 = serial; the learnt facts are identical at every thread count). The
-/// sparse presolve is on, as in the default engine configuration; it is
-/// exact, so this is a wall-clock choice only.
+/// `threads` is the number of presolve residual components each round
+/// eliminates in parallel (1 = serial; the learnt facts are identical at
+/// every thread count). The sparse presolve is on, as in the default engine
+/// configuration; it is exact, so this is a wall-clock choice only.
 pub fn elimlin_on(working: Vec<Polynomial>, threads: usize) -> ElimLinOutcome {
     elimlin_on_cancellable(working, threads, &CancelToken::never())
 }
@@ -149,7 +149,7 @@ fn elimlin_run(
             SparseLinearization::build(working.iter()).eliminate_cancellable(threads, token)
         } else {
             let mut lin = Linearization::build(working.iter());
-            let (reduced, stats) = lin.eliminate_cancellable(threads, token);
+            let (reduced, stats) = lin.eliminate_cancellable(token);
             (reduced, stats, PresolveStats::default())
         };
         let round_interrupted = round_stats.interrupted;

@@ -222,7 +222,7 @@ pub fn xl_learn_cancellable<R: Rng>(
             .eliminate_retainable_cancellable(config.threads, token)
     } else {
         let mut lin = builder.finish();
-        let (facts, rank, gauss) = lin.eliminate_retainable_cancellable(config.threads, token);
+        let (facts, rank, gauss) = lin.eliminate_retainable_cancellable(token);
         (facts, rank, gauss, PresolveStats::default())
     };
     if gauss.interrupted {

@@ -1,28 +1,28 @@
-//! Cache-blocked, multi-table, band-parallel M4RM Gauss–Jordan elimination.
+//! Cache-blocked, multi-table M4RM Gauss–Jordan elimination.
 //!
-//! This is the paper-scale GF(2) elimination kernel, in the style of the
-//! M4RI library's `mzd_echelonize_m4ri`: the single-table Method of the Four
-//! Russians (`m4rm.rs`) processes `k ≤ 8` pivot columns per sweep over the
-//! trailing matrix, which at tens of thousands of columns — the linearised
-//! systems the paper's Table 2 instances produce — becomes memory-bound on
-//! re-reading the matrix. This kernel cuts that traffic four ways:
+//! This is the dense GF(2) elimination kernel, in the style of the M4RI
+//! library's `mzd_echelonize_m4ri`. The Method of the Four Russians clears
+//! `k ≤ 8` pivot columns per pass over the trailing matrix with one
+//! Gray-code table lookup per row; at tens of thousands of columns — the
+//! linearised systems the paper's Table 2 instances produce — a single-table
+//! kernel becomes memory-bound on re-reading the matrix. This kernel cuts
+//! that traffic three ways:
 //!
-//! 1. **In-place arena elimination.** [`BitMatrix`] already stores its rows
-//!    in one contiguous `nrows × words_per_row` arena, so the kernel
-//!    eliminates directly over `&mut BitMatrix` — no flatten on entry, no
-//!    read-back on exit. Row accesses are pure pointer arithmetic and the
+//! 1. **In-place arena elimination.** [`BitMatrix`] stores its rows in one
+//!    contiguous `nrows × words_per_row` arena, so the kernel eliminates
+//!    directly over it — no flatten on entry, no read-back on exit. The
 //!    update pass streams one contiguous region the hardware prefetcher can
 //!    follow.
 //! 2. **Pivot blocks in triples.** Each sweep establishes up to `3k ≤ 24`
 //!    pivots at once and splits them over *three* `2^k` Gray-code tables.
-//!    Because [`establish_block_pivots`] leaves the pivot rows identity on
-//!    *all* the sweep's pivot columns, the three table indices of a row are
-//!    independent: entries of one table have zeros at the other tables'
-//!    pivot columns. All three indices come out of one windowed read of at
-//!    most two row words (24 bits always fit), and each row is cleared with
-//!    one fused `row ^= A[ia] ^ B[ib] ^ C[ic]` pass ([`xor3_words`]). The
-//!    trailing matrix is read and written once per `3k` columns instead of
-//!    once per `k` — a third of the single-table kernel's passes.
+//!    Because [`BitMatrix::establish_block_pivots`] leaves the pivot rows
+//!    identity on *all* the sweep's pivot columns, the three table indices
+//!    of a row are independent: entries of one table have zeros at the other
+//!    tables' pivot columns. All three indices come out of one windowed read
+//!    of at most two row words (24 bits always fit), and each row is cleared
+//!    with one fused `row ^= A[ia] ^ B[ib] ^ C[ic]` pass ([`xor3_words`]).
+//!    The trailing matrix is read and written once per `3k` columns instead
+//!    of once per `k`.
 //! 3. **Column-tiled updates.** For very wide matrices the three tables
 //!    (`3 · 2^k · stride · 8` bytes) fall out of L2 and every table lookup
 //!    becomes a cache miss. Beyond [`blocked_tile_words`] words per row the
@@ -30,75 +30,76 @@
 //!    (during the first tile, while the row's leading words are hot), then
 //!    each subsequent tile streams the rows against an L2-resident slice of
 //!    all three tables.
-//! 4. **Band-parallel updates and pivot scans.** The Gray-table builds touch
-//!    `O(3k)` rows; the row-update pass and the pivot-establishment scan
-//!    touch all of them and dominate. Since every row's update depends only
-//!    on that row's own table indices and the sweep's fixed tables, the
-//!    arena is split once into disjoint row bands (`&mut [u64]` chunks) that
-//!    update independently on scoped worker threads. Pivot establishment is
-//!    **read-only window math**: a candidate row's post-cleanup window is
-//!    `window ^ ⊕ pivot windows of its dirty bits` (each pivot row is
-//!    identity on the pivot columns so far, so one windowed read yields the
-//!    exact dirty set), no row is written during the scan, and only the row
-//!    actually chosen as a pivot is cleaned — the rest are cleared wholesale
-//!    by the sweep's fused table XOR, which subsumes the per-row cleanup the
-//!    scan used to perform. Being read-only, the scan fans out over the same
-//!    bands (first match = minimum row index over bands). Workers persist
-//!    across sweeps (one `std::thread::scope` per elimination, blocking
-//!    channels carrying an update-or-scan message per hand-off), so a
-//!    fan-out costs a channel round-trip, not a thread spawn. The parallel
-//!    RREF **and operation counts are bit-identical to serial by
-//!    construction** — no partition or schedule can change any row's result
-//!    or the chosen pivot — and the property tests in `proptests.rs` assert
-//!    exactly that for threads ∈ {1, 2, 3, 8}.
+//!
+//! Pivot establishment is **read-only window math**: a candidate row's
+//! post-cleanup window is `window ^ ⊕ pivot windows of its dirty bits` (each
+//! pivot row is identity on the pivot columns so far, so one windowed read
+//! yields the exact dirty set). No row is written during the scan, and only
+//! the row actually chosen as a pivot is cleaned — the rest are cleared
+//! wholesale by the sweep's fused table XOR.
 //!
 //! The inner loops are the slice-trimmed word XORs of `vector.rs` — plain
 //! `u64` code the compiler autovectorises, no architecture intrinsics, per
 //! the offline-build constraint.
 //!
-//! The produced RREF is **bit-identical** to both the schoolbook and the
-//! single-table M4RM kernels: RREF is unique and all three kernels order
-//! rows canonically (pivot rows sorted by pivot column, zero rows last).
-//! Property tests in `proptests.rs` assert this equivalence, including at
-//! widths 2048, 4096 and non-powers-of-two.
+//! The produced RREF is **bit-identical** to the schoolbook kernel
+//! ([`BitMatrix::gauss_jordan_plain_with_stats`]): RREF is unique and both
+//! kernels order rows canonically (pivot rows sorted by pivot column, zero
+//! rows last). Property tests in `proptests.rs` assert this equivalence,
+//! including at widths 2048, 4096 and non-powers-of-two.
 //!
-//! Kernel selection (which sizes and thread counts run this kernel) lives in
+//! Kernel selection (which sizes run this kernel) lives in
 //! [`select_kernel`](crate::select_kernel); the tuning knobs are documented
 //! in `crates/bench/DESIGN.md`.
 
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::ops::Range;
 
 use bosphorus_interrupt::CancelToken;
 
-use crate::m4rm::M4RM_MAX_BLOCK;
 use crate::vector::{xor2_words, xor3_words, xor_words};
 use crate::{BitMatrix, GaussStats};
 
 /// Conservative per-core L2 cache estimate, in bytes.
 ///
-/// Used by [`select_kernel`](crate::select_kernel) (matrices whose working
-/// set exceeds this move to the blocked kernel) and by
-/// [`blocked_tile_words`] (the column-tile width is chosen so a tile of all
-/// three Gray-code tables stays resident). 1 MiB sits at the low end of
-/// contemporary per-core L2 sizes: underestimating costs a little tiling
+/// Used by [`blocked_tile_words`]: the column-tile width is chosen so a tile
+/// of all three Gray-code tables stays resident. 1 MiB sits at the low end
+/// of contemporary per-core L2 sizes: underestimating costs a little tiling
 /// overhead, overestimating reintroduces the cache misses the tiling exists
 /// to avoid.
 pub const GF2_L2_CACHE_BYTES: usize = 1024 * 1024;
 
-/// A row band must have at least this many rows before the dispatch
-/// heuristic hands it to its own update thread: below this, the per-sweep
-/// channel round-trip costs more than the band's update work.
-pub(crate) const PAR_MIN_BAND_ROWS: usize = 64;
+/// Maximum per-table M4RM block width: `2^8 = 256` Gray-code table entries.
+///
+/// Wider blocks would grow the tables exponentially while the per-row saving
+/// only grows linearly; 8 is also the widest block the `u8`-indexed lookup
+/// of the original M4RI implementation uses per table.
+pub const M4RM_MAX_BLOCK: usize = 8;
 
-/// A pivot-establishment scan must cover at least this many rows before it
-/// fans out across the worker bands. The scan is pure window math (a few
-/// nanoseconds per row), so it takes thousands of rows before a per-column
-/// channel round-trip pays for itself; below the threshold the scan runs
-/// inline on the main thread with early exit. The gate depends only on the
-/// scan range and band count, so the chosen pivot — and therefore the RREF
-/// and the operation counts — is identical either way.
-pub(crate) const PAR_MIN_SCAN_ROWS: usize = 4096;
+/// Matrices whose smaller dimension is below this threshold take the
+/// schoolbook kernel: the Gray-code table setup costs more than it saves
+/// when there are only a handful of rows to clear per block.
+pub(crate) const M4RM_MIN_DIM: usize = 16;
+
+/// Picks the per-table M4RM block width `k` for an `nrows × ncols`
+/// elimination.
+///
+/// Uses the classic `k ≈ ¾·log₂(n)` rule of the M4RI library (with `n` the
+/// smaller dimension), clamped to `[1, 8]`: a Gray-code table costs
+/// `2^k − 1` row XORs per sweep, which amortises only while `2^k` stays far
+/// below the number of rows.
+///
+/// ```
+/// use bosphorus_gf2::m4rm_block_size;
+/// assert_eq!(m4rm_block_size(1024, 1024), 8);
+/// assert!(m4rm_block_size(64, 64) < m4rm_block_size(4096, 4096));
+/// assert_eq!(m4rm_block_size(2, 2), 1);
+/// ```
+pub fn m4rm_block_size(nrows: usize, ncols: usize) -> usize {
+    let n = nrows.min(ncols).max(2);
+    // floor(log2(n)) + 1, i.e. the bit length of n.
+    let bit_length = (usize::BITS - n.leading_zeros()) as usize;
+    (bit_length * 3 / 4).clamp(1, M4RM_MAX_BLOCK)
+}
 
 /// Column-tile width, in 64-bit words, of the blocked kernel's row updates
 /// for per-table block width `k`.
@@ -125,63 +126,45 @@ pub fn blocked_tile_words(k: usize) -> usize {
 impl BitMatrix {
     /// Cache-blocked three-table M4RM Gauss–Jordan elimination, in place
     /// over the matrix arena, with per-table block width `block` (clamped to
-    /// `[1, 8]`) and row updates fanned across `threads` scoped worker
-    /// threads (clamped to `[1, nrows]`; `1` runs fully serial), reporting
-    /// operation counts.
+    /// `[1, 8]`), reporting operation counts.
     ///
     /// Each sweep establishes up to `3 · block` pivots, builds three
     /// Gray-code tables, and clears every other row with one fused
     /// three-table XOR pass (column-tiled once rows outgrow the L2
-    /// estimate). The arena is partitioned into `threads` row bands that
-    /// update independently per sweep, so the result is **bit-identical at
-    /// every thread count** — and identical to
-    /// [`BitMatrix::gauss_jordan_plain_with_stats`] and
-    /// [`BitMatrix::gauss_jordan_m4rm_with_stats`]; only the operation
+    /// estimate). The result is identical to
+    /// [`BitMatrix::gauss_jordan_plain_with_stats`]; only the operation
     /// schedule differs. This is the kernel
-    /// [`BitMatrix::gauss_jordan_with_stats`] dispatches to for matrices
-    /// beyond the cache-size estimate — see
-    /// [`select_kernel`](crate::select_kernel).
+    /// [`BitMatrix::gauss_jordan_with_stats`] dispatches to for all but tiny
+    /// matrices — see [`select_kernel`](crate::select_kernel).
     ///
     /// ```
     /// use bosphorus_gf2::BitMatrix;
     /// let mut a = BitMatrix::identity(20);
     /// a.set(0, 19, true);
-    /// let stats = a.gauss_jordan_blocked_m4rm_with_stats(8, 2);
+    /// let stats = a.gauss_jordan_blocked_m4rm_with_stats(8);
     /// assert_eq!(stats.rank, 20);
-    /// assert_eq!(stats.threads, 2);
     /// assert_eq!(a, BitMatrix::identity(20));
     /// ```
-    pub fn gauss_jordan_blocked_m4rm_with_stats(
-        &mut self,
-        block: usize,
-        threads: usize,
-    ) -> GaussStats {
-        self.gauss_jordan_blocked_m4rm_cancellable(block, threads, &CancelToken::never())
+    pub fn gauss_jordan_blocked_m4rm_with_stats(&mut self, block: usize) -> GaussStats {
+        self.gauss_jordan_blocked_m4rm_cancellable(block, &CancelToken::never())
     }
 
     /// Like [`BitMatrix::gauss_jordan_blocked_m4rm_with_stats`], polling
-    /// `token` once per elimination sweep, on the main thread, between
-    /// fan-outs. Band workers always complete the sweep they are running —
-    /// a sweep's row updates are the unit of committed work — so the bands
-    /// drain cleanly and no thread is ever interrupted mid-row.
+    /// `token` once per elimination sweep, before the sweep starts: a
+    /// sweep's row updates are the unit of committed work, so no row is
+    /// ever left half-updated.
     ///
     /// On cancellation the elimination stops before the next sweep and
-    /// returns with [`GaussStats::interrupted`](crate::GaussStats) set; the
-    /// matrix is then only partially reduced and must be treated as
-    /// scratch.
+    /// returns with [`GaussStats::interrupted`](crate::GaussStats) set and
+    /// the pivots established so far as the rank; the matrix is then only
+    /// partially reduced and must be treated as scratch.
     pub fn gauss_jordan_blocked_m4rm_cancellable(
         &mut self,
         block: usize,
-        threads: usize,
         token: &CancelToken,
     ) -> GaussStats {
         let k = block.clamp(1, M4RM_MAX_BLOCK);
-        let mut stats = GaussStats {
-            tables_per_sweep: 3,
-            threads: 1,
-            bands: 1,
-            ..GaussStats::default()
-        };
+        let mut stats = GaussStats::default();
         let nrows = self.nrows();
         let ncols = self.ncols();
         if nrows == 0 || ncols == 0 {
@@ -189,248 +172,214 @@ impl BitMatrix {
         }
         let words = self.words_per_row();
         let tile = blocked_tile_words(k);
-
-        // Partition the arena into disjoint row bands, one per thread. The
-        // split happens once for the whole elimination; between update
-        // sweeps the main thread owns every band and runs the serial phases
-        // (pivot search, pivot establishment, table builds) through the
-        // band table.
-        let n_bands = threads.clamp(1, nrows);
-        let rows_per_band = nrows.div_ceil(n_bands);
-        let n_bands = nrows.div_ceil(rows_per_band);
-        stats.threads = n_bands;
-        stats.bands = n_bands;
-        let arena = self.words_raw_mut();
-        let mut bands = Bands::new(arena, words, rows_per_band);
-
-        let rank = if n_bands <= 1 {
-            eliminate(
-                &mut bands,
-                nrows,
-                ncols,
-                k,
-                tile,
-                words,
-                &mut stats,
-                token,
-                |bands, dispatch| match dispatch {
-                    Dispatch::Update(job) => {
-                        let mut xors = 0usize;
-                        for bi in 0..bands.len() {
-                            let band_start = bi * bands.rows_per_band;
-                            let band = bands.bands[bi].as_deref_mut().expect("band present");
-                            xors += update_band(band, band_start, &job);
-                        }
-                        DispatchOutcome::Update { job, xors }
-                    }
-                    Dispatch::Scan(job) => {
-                        let mut found = None;
-                        for bi in 0..bands.len() {
-                            let band_start = bi * bands.rows_per_band;
-                            let band = bands.bands[bi].as_deref().expect("band present");
-                            if let Some(r) = scan_band(band, band_start, &job) {
-                                found = Some(r);
-                                break;
-                            }
-                        }
-                        DispatchOutcome::Scan(found)
-                    }
-                },
-            )
-        } else {
-            // One scope per elimination: the workers persist across sweeps
-            // and receive (band, message) pairs over blocking channels, so a
-            // fan-out costs a channel round-trip per worker, not a spawn.
-            // Band slices are *moved* through the channels and returned, so
-            // ownership of each band round-trips every hand-off in safe
-            // Rust.
-            std::thread::scope(|scope| {
-                let (done_tx, done_rx) = mpsc::channel::<(usize, &mut [u64], BandReply)>();
-                let mut job_txs = Vec::with_capacity(n_bands - 1);
-                for bi in 1..n_bands {
-                    let (tx, rx) = mpsc::channel::<(&mut [u64], BandJob)>();
-                    job_txs.push(tx);
-                    let done_tx = done_tx.clone();
-                    let band_start = bi * rows_per_band;
-                    scope.spawn(move || {
-                        for (band, job) in rx {
-                            // Jobs are released before reporting back so the
-                            // main thread can reclaim the update tables with
-                            // `Arc::try_unwrap` after the last report.
-                            let reply = match job {
-                                BandJob::Update(job) => {
-                                    let xors = update_band(band, band_start, &job);
-                                    drop(job);
-                                    BandReply::Update(xors)
-                                }
-                                BandJob::Scan(job) => {
-                                    let found = scan_band(band, band_start, &job);
-                                    drop(job);
-                                    BandReply::Scan(found)
-                                }
-                            };
-                            done_tx
-                                .send((bi, band, reply))
-                                .expect("main thread receives band reports");
-                        }
-                    });
-                }
-                let rank = eliminate(
-                    &mut bands,
-                    nrows,
-                    ncols,
-                    k,
-                    tile,
+        let mut tables = Tables::new(k, words);
+        let mut pivot_row = 0usize;
+        let mut col_start = 0usize;
+        while pivot_row < nrows && col_start < ncols {
+            if token.is_cancelled() {
+                stats.interrupted = true;
+                break;
+            }
+            let Some(next_col) = self.leading_column(pivot_row, col_start) else {
+                break;
+            };
+            col_start = next_col;
+            let col_end = (col_start + 3 * k).min(ncols);
+            let block_start = pivot_row;
+            let pivot_cols =
+                self.establish_block_pivots(block_start, col_start, col_end, &mut stats);
+            let p = pivot_cols.len();
+            let block_end = block_start + p;
+            if p > 0 {
+                // Split the sweep's pivots over the three tables. The pivot
+                // rows are identity on all p pivot columns, so each table's
+                // entries are zero at the other tables' columns: the three
+                // indices of a row are independent of each other and stable
+                // under any table's XOR.
+                let pa = p.min(k);
+                let pb = (p - pa).min(k);
+                let pc = p - pa - pb;
+                let w0 = col_start / 64;
+                let b0 = block_start;
+                self.build_gray_table(&mut tables.a, b0, pa, w0, &mut stats);
+                self.build_gray_table(&mut tables.b, b0 + pa, pb, w0, &mut stats);
+                self.build_gray_table(&mut tables.c, b0 + pa + pb, pc, w0, &mut stats);
+                // On dense systems the sweep's pivot columns are almost always
+                // the contiguous range starting at col_start; all three table
+                // indices then come out of a single window read of at most two
+                // row words (3k <= 24 bits) instead of one scattered bit probe
+                // per pivot column.
+                let contiguous = pivot_cols
+                    .iter()
+                    .enumerate()
+                    .all(|(j, &c)| c == col_start + j);
+                let sweep = Sweep {
                     words,
-                    &mut stats,
-                    token,
-                    |bands, dispatch| match dispatch {
-                        Dispatch::Update(job) => {
-                            for bi in 1..bands.len() {
-                                let band = bands.bands[bi].take().expect("band present");
-                                job_txs[bi - 1]
-                                    .send((band, BandJob::Update(job.clone())))
-                                    .expect("worker thread is alive");
-                            }
-                            let band0 = bands.bands[0].as_deref_mut().expect("band present");
-                            let mut xors = update_band(band0, 0, &job);
-                            for _ in 1..bands.len() {
-                                let (bi, band, reply) =
-                                    done_rx.recv().expect("worker thread reports back");
-                                bands.bands[bi] = Some(band);
-                                match reply {
-                                    BandReply::Update(band_xors) => xors += band_xors,
-                                    BandReply::Scan(_) => {
-                                        unreachable!("update fan-out gets update replies")
-                                    }
-                                }
-                            }
-                            DispatchOutcome::Update { job, xors }
-                        }
-                        Dispatch::Scan(job) => {
-                            for bi in 1..bands.len() {
-                                let band = bands.bands[bi].take().expect("band present");
-                                job_txs[bi - 1]
-                                    .send((band, BandJob::Scan(job.clone())))
-                                    .expect("worker thread is alive");
-                            }
-                            let band0 = bands.bands[0].as_deref().expect("band present");
-                            let mut found = scan_band(band0, 0, &job);
-                            for _ in 1..bands.len() {
-                                let (bi, band, reply) =
-                                    done_rx.recv().expect("worker thread reports back");
-                                bands.bands[bi] = Some(band);
-                                match reply {
-                                    BandReply::Scan(Some(r)) => {
-                                        found = Some(found.map_or(r, |f| f.min(r)));
-                                    }
-                                    BandReply::Scan(None) => {}
-                                    BandReply::Update(_) => {
-                                        unreachable!("scan fan-out gets scan replies")
-                                    }
-                                }
-                            }
-                            DispatchOutcome::Scan(found)
-                        }
-                    },
-                );
-                drop(job_txs);
-                rank
-            })
-        };
-        stats.rank = rank;
+                    w0,
+                    shift: col_start % 64,
+                    tile,
+                    pa,
+                    pb,
+                    pc,
+                    contiguous,
+                    cols: pivot_cols,
+                    pivot_rows: block_start..block_end,
+                };
+                stats.row_xors += update_rows(self.words_raw_mut(), &tables, &sweep);
+            }
+            pivot_row = block_end;
+            col_start = col_end;
+        }
+        stats.rank = pivot_row;
         stats
     }
-}
 
-/// The arena split into disjoint per-thread row bands. Each band is
-/// `Some(&mut [u64])` while the main thread owns it and `None` while it is
-/// out with a worker; the helpers below give the serial phases row-level
-/// access across band boundaries.
-struct Bands<'a> {
-    bands: Vec<Option<&'a mut [u64]>>,
-    rows_per_band: usize,
-    words: usize,
-}
-
-impl<'a> Bands<'a> {
-    fn new(arena: &'a mut [u64], words: usize, rows_per_band: usize) -> Self {
-        let bands = arena
-            .chunks_mut(rows_per_band * words)
-            .map(Some)
-            .collect::<Vec<_>>();
-        Bands {
-            bands,
-            rows_per_band,
-            words,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.bands.len()
-    }
-
-    fn row(&self, r: usize) -> &[u64] {
-        let band = self.bands[r / self.rows_per_band]
-            .as_deref()
-            .expect("band present");
-        let i = r % self.rows_per_band;
-        &band[i * self.words..(i + 1) * self.words]
-    }
-
-    fn get_bit(&self, r: usize, c: usize) -> bool {
-        (self.row(r)[c / 64] >> (c % 64)) & 1 == 1
-    }
-
-    /// Mutable access to two distinct rows, across band boundaries.
-    fn two_rows_mut(&mut self, a: usize, b: usize) -> (&mut [u64], &mut [u64]) {
-        debug_assert_ne!(a, b);
-        let words = self.words;
-        let (ba, ia) = (a / self.rows_per_band, a % self.rows_per_band);
-        let (bb, ib) = (b / self.rows_per_band, b % self.rows_per_band);
-        if ba == bb {
-            let band = self.bands[ba].as_deref_mut().expect("band present");
-            let (lo_i, hi_i) = (ia.min(ib), ia.max(ib));
-            let (lo, hi) = band.split_at_mut(hi_i * words);
-            let lo_row = &mut lo[lo_i * words..(lo_i + 1) * words];
-            let hi_row = &mut hi[..words];
-            if ia < ib {
-                (lo_row, hi_row)
-            } else {
-                (hi_row, lo_row)
-            }
-        } else {
-            let (lo_bands, hi_bands) = self.bands.split_at_mut(ba.max(bb));
-            let lo_band = lo_bands[ba.min(bb)].as_deref_mut().expect("band present");
-            let hi_band = hi_bands[0].as_deref_mut().expect("band present");
-            let (lo_i, hi_i) = if ba < bb { (ia, ib) } else { (ib, ia) };
-            let lo_row = &mut lo_band[lo_i * words..(lo_i + 1) * words];
-            let hi_row = &mut hi_band[hi_i * words..(hi_i + 1) * words];
-            if ba < bb {
-                (lo_row, hi_row)
-            } else {
-                (hi_row, lo_row)
+    /// The leftmost column `>= col_floor` in which any row at or below
+    /// `row_start` has a one, found with word-skipping row scans that stop
+    /// at the word of the best column seen so far.
+    fn leading_column(&self, row_start: usize, col_floor: usize) -> Option<usize> {
+        let first_word = col_floor / 64;
+        let floor_mask = !0u64 << (col_floor % 64);
+        let mut best: Option<usize> = None;
+        for r in row_start..self.nrows() {
+            let row = self.row_words(r);
+            let limit_word = best.map_or(row.len() - 1, |b| b / 64);
+            for (wi, &raw) in row.iter().enumerate().take(limit_word + 1).skip(first_word) {
+                let w = if wi == first_word {
+                    raw & floor_mask
+                } else {
+                    raw
+                };
+                if w != 0 {
+                    let c = wi * 64 + w.trailing_zeros() as usize;
+                    if c == col_floor {
+                        return Some(c);
+                    }
+                    if best.map_or(true, |b| c < b) {
+                        best = Some(c);
+                    }
+                    break;
+                }
             }
         }
+        best.filter(|&c| c < self.ncols())
     }
 
-    /// XORs row `src` into row `dst` from word `w0` on.
-    fn xor_row_into(&mut self, src: usize, dst: usize, w0: usize) {
-        let (s, d) = self.two_rows_mut(src, dst);
+    /// Establishes pivots for the sweep columns `col_start..col_end`, moving
+    /// pivot rows to positions `block_start..`, reducing them to identity on
+    /// the sweep's pivot columns, and returning the pivot columns found.
+    ///
+    /// The candidate scan is read-only window math (see [`post_window`]): no
+    /// row is written while searching, and only the chosen pivot row is
+    /// physically cleaned on the earlier pivot columns. Every *other* row
+    /// keeps its pivot-column bits until the sweep's fused table XOR clears
+    /// them wholesale — the Gray-code entry indexed by those bits is exactly
+    /// the pivot-row combination a per-row cleanup would apply.
+    fn establish_block_pivots(
+        &mut self,
+        block_start: usize,
+        col_start: usize,
+        col_end: usize,
+        stats: &mut GaussStats,
+    ) -> Vec<usize> {
+        let nrows = self.nrows();
+        let w0 = col_start / 64;
+        let shift = col_start % 64;
+        let mut pivot_cols: Vec<usize> = Vec::with_capacity(col_end - col_start);
+        // Offsets (relative to col_start) of the pivot columns found so far,
+        // as a bit mask over the sweep window, and the current pivot-row
+        // windows. The window spans `col_end - col_start <= 3k <= 24` bits,
+        // so one read of at most two row words yields every pivot-column bit
+        // of a row at once.
+        let mut pivot_mask: usize = 0;
+        let mut pivot_windows: Vec<usize> = Vec::with_capacity(col_end - col_start);
+        for c in col_start..col_end {
+            let dest = block_start + pivot_cols.len();
+            if dest >= nrows {
+                break;
+            }
+            let c_off = c - col_start;
+            let Some(found) = (dest..nrows).find(|&r| {
+                let post = post_window(self.row_words(r), w0, shift, pivot_mask, &pivot_windows);
+                (post >> c_off) & 1 == 1
+            }) else {
+                continue;
+            };
+            // Physically clean the chosen row on the earlier pivot columns
+            // (the scan left it untouched).
+            let mut dirty = window_read(self.row_words(found), w0, shift) & pivot_mask;
+            while dirty != 0 {
+                let j = pivot_index(pivot_mask, dirty.trailing_zeros() as usize);
+                self.xor_row_tail_into(block_start + j, found, w0);
+                stats.row_xors += 1;
+                dirty &= dirty - 1;
+            }
+            debug_assert!(self.get(found, c), "scan math matches the cleanup");
+            if found != dest {
+                self.swap_rows(found, dest);
+                stats.row_swaps += 1;
+            }
+            // Back-eliminate column c from the earlier pivot rows of this
+            // sweep, keeping the pivot rows identity on the pivot columns
+            // (the property the independent Gray-code indices rely on).
+            for j in 0..pivot_cols.len() {
+                if self.get(block_start + j, c) {
+                    self.xor_row_tail_into(dest, block_start + j, w0);
+                    stats.row_xors += 1;
+                }
+            }
+            pivot_cols.push(c);
+            pivot_mask |= 1usize << c_off;
+            // Refresh the cached pivot windows: back-elimination rewrote the
+            // earlier pivot rows' non-pivot window bits and a new pivot row
+            // joined the block.
+            pivot_windows.clear();
+            for j in 0..pivot_cols.len() {
+                pivot_windows.push(window_read(self.row_words(block_start + j), w0, shift));
+            }
+        }
+        pivot_cols
+    }
+
+    /// XORs row `src` into row `dst` from word `w0` on. Both rows are at or
+    /// below the current pivot row, so their words left of `w0` are zero by
+    /// the elimination invariant.
+    fn xor_row_tail_into(&mut self, src: usize, dst: usize, w0: usize) {
+        let (s, d) = self.row_pair_mut(src, dst);
         xor_words(&mut d[w0..], &s[w0..]);
     }
 
-    /// Swaps rows `a` and `b` (`a != b`).
-    fn swap_rows(&mut self, a: usize, b: usize) {
-        let (ra, rb) = self.two_rows_mut(a, b);
-        ra.swap_with_slice(rb);
+    /// Builds the `2^p` Gray-code lookup table over rows
+    /// `first_pivot_row..first_pivot_row + p`, each entry covering the row
+    /// words from `w0` on. Each entry is derived from its predecessor with a
+    /// single word-parallel XOR, so the whole table costs `2^p − 1` row
+    /// XORs. With `p == 0` the table is untouched (all lookups hit the
+    /// never-written zero entry 0).
+    fn build_gray_table(
+        &self,
+        table: &mut [u64],
+        first_pivot_row: usize,
+        p: usize,
+        w0: usize,
+        stats: &mut GaussStats,
+    ) {
+        let stride = self.words_per_row() - w0;
+        let mut prev = 0usize;
+        for i in 1..(1usize << p) {
+            let gray = i ^ (i >> 1);
+            let bit = i.trailing_zeros() as usize;
+            table.copy_within(prev * stride..(prev + 1) * stride, gray * stride);
+            let pivot_words = &self.row_words(first_pivot_row + bit)[w0..];
+            xor_words(&mut table[gray * stride..(gray + 1) * stride], pivot_words);
+            stats.row_xors += 1;
+            prev = gray;
+        }
     }
 }
 
 /// The three Gray-code tables of a sweep. Entry 0 of each is the zero row
-/// and is never written; entries `1..2^p` are rebuilt per sweep. The buffers
-/// are recycled across sweeps through [`SweepJob`] (`Arc::try_unwrap` after
-/// every band reports back).
+/// and is never written; entries `1..2^p` are rebuilt per sweep, so one set
+/// of buffers serves the whole elimination.
 struct Tables {
     a: Vec<u64>,
     b: Vec<u64>,
@@ -448,60 +397,8 @@ impl Tables {
     }
 }
 
-/// One fan-out request from the sweep loop to the band dispatcher: a
-/// sweep's row-update pass, or one pivot column's read-only window scan.
-enum Dispatch {
-    Update(Arc<SweepJob>),
-    Scan(Arc<ScanJob>),
-}
-
-/// The band dispatcher's reply to a [`Dispatch`].
-enum DispatchOutcome {
-    /// The update ran on every band; the job comes back so the main thread
-    /// can reclaim the table buffers, along with the row-XOR count.
-    Update { job: Arc<SweepJob>, xors: usize },
-    /// The scan ran on every band; the first (lowest) matching row, if any.
-    Scan(Option<usize>),
-}
-
-/// The per-band message of the persistent worker channels.
-enum BandJob {
-    Update(Arc<SweepJob>),
-    Scan(Arc<ScanJob>),
-}
-
-/// A worker's report after finishing a [`BandJob`].
-enum BandReply {
-    Update(usize),
-    Scan(Option<usize>),
-}
-
-/// Everything a band needs to run one pivot column's read-only scan: the
-/// sweep-window geometry plus the pivots established so far. A candidate
-/// row's post-cleanup window is `window ^ ⊕_{j ∈ dirty} pivot_windows[j]` —
-/// pure word math, no row is written — so the scan parallelises over the
-/// bands with a bit-identical result by construction: the combined answer is
-/// the minimum matching row index across bands.
-struct ScanJob {
-    words: usize,
-    w0: usize,
-    shift: usize,
-    /// Offset of the candidate column within the sweep window.
-    c_off: usize,
-    /// Window bits of the pivot columns established so far.
-    pivot_mask: usize,
-    /// Current windows of the sweep's pivot rows (identity on the pivot
-    /// columns), in pivot order.
-    pivot_windows: Vec<usize>,
-    /// First global row of the scan range (the pivot destination row).
-    from_row: usize,
-}
-
-/// Everything a band needs to run one sweep's row updates: the three tables
-/// plus the sweep geometry. Shared with the workers behind an `Arc`; the
-/// main thread reclaims the table buffers once every band has reported.
-struct SweepJob {
-    tables: Tables,
+/// The geometry of one sweep's row-update pass.
+struct Sweep {
     words: usize,
     w0: usize,
     shift: usize,
@@ -513,146 +410,26 @@ struct SweepJob {
     /// The sweep's pivot columns (`pa + pb + pc` of them), for the
     /// scattered-column fallback index read.
     cols: Vec<usize>,
-    /// Global row range of this sweep's pivot rows; they are already
-    /// identity on the pivot columns and must not be updated.
-    skip_start: usize,
-    skip_end: usize,
+    /// The sweep's pivot rows; they are already identity on the pivot
+    /// columns and must not be updated.
+    pivot_rows: Range<usize>,
 }
 
-/// The sweep loop shared by the serial and band-parallel paths: pivot
-/// search and table builds run on the calling thread; `fan_out` distributes
-/// the row-update pass — and, through [`establish_block_pivots`], the large
-/// pivot-scan passes — over the bands (inline when serial, over the worker
-/// channels when parallel). Returns the rank.
-///
-/// `token` is polled once per sweep, before the sweep starts: the sweep is
-/// the unit of committed work (every band's updates either all run or none
-/// do), so interrupting here never leaves a half-updated band. On
-/// cancellation the loop exits with `stats.interrupted` set and the pivots
-/// established so far as the rank.
-#[allow(clippy::too_many_arguments)]
-fn eliminate<'a, F>(
-    bands: &mut Bands<'a>,
-    nrows: usize,
-    ncols: usize,
-    k: usize,
-    tile: usize,
-    words: usize,
-    stats: &mut GaussStats,
-    token: &CancelToken,
-    mut fan_out: F,
-) -> usize
-where
-    F: for<'b> FnMut(&'b mut Bands<'a>, Dispatch) -> DispatchOutcome,
-{
-    let mut tables = Tables::new(k, words);
-    let mut pivot_row = 0usize;
-    let mut col_start = 0usize;
-    while pivot_row < nrows && col_start < ncols {
-        if token.is_cancelled() {
-            stats.interrupted = true;
-            break;
-        }
-        let Some(next_col) = leading_column(bands, nrows, ncols, pivot_row, col_start) else {
-            break;
-        };
-        col_start = next_col;
-        let col_end = (col_start + 3 * k).min(ncols);
-        let block_start = pivot_row;
-        let pivot_cols = establish_block_pivots(
-            bands,
-            nrows,
-            block_start,
-            col_start,
-            col_end,
-            stats,
-            &mut fan_out,
-        );
-        let p = pivot_cols.len();
-        let block_end = block_start + p;
-        if p > 0 {
-            // Split the sweep's pivots over the three tables. The pivot
-            // rows are identity on all p pivot columns, so each table's
-            // entries are zero at the other tables' columns: the three
-            // indices of a row are independent of each other and stable
-            // under any table's XOR.
-            let pa = p.min(k);
-            let pb = (p - pa).min(k);
-            let pc = p - pa - pb;
-            let w0 = col_start / 64;
-            build_gray_table(&mut tables.a, bands, block_start, pa, w0, words, stats);
-            build_gray_table(&mut tables.b, bands, block_start + pa, pb, w0, words, stats);
-            build_gray_table(
-                &mut tables.c,
-                bands,
-                block_start + pa + pb,
-                pc,
-                w0,
-                words,
-                stats,
-            );
-            // On dense systems the sweep's pivot columns are almost always
-            // the contiguous range starting at col_start; all three table
-            // indices then come out of a single window read of at most two
-            // row words (3k <= 24 bits) instead of one scattered bit probe
-            // per pivot column.
-            let contiguous = pivot_cols
-                .iter()
-                .enumerate()
-                .all(|(j, &c)| c == col_start + j);
-            let job = Arc::new(SweepJob {
-                tables,
-                words,
-                w0,
-                shift: col_start % 64,
-                tile,
-                pa,
-                pb,
-                pc,
-                contiguous,
-                cols: pivot_cols,
-                skip_start: block_start,
-                skip_end: block_end,
-            });
-            let DispatchOutcome::Update { job, xors } = fan_out(bands, Dispatch::Update(job))
-            else {
-                unreachable!("update dispatch returns an update outcome")
-            };
-            stats.row_xors += xors;
-            // Every band has reported, so the main thread holds the last
-            // reference and the table buffers come back for the next sweep.
-            tables = Arc::try_unwrap(job)
-                .map(|job| job.tables)
-                .unwrap_or_else(|_| Tables::new(k, words));
-        }
-        pivot_row = block_end;
-        col_start = col_end;
-    }
-    pivot_row
-}
-
-/// Runs one sweep's row updates over one band (rows
-/// `band_start..band_start + band.len() / words` globally): per row, read
-/// the three table indices, then apply the fused table XOR, column tile by
-/// column tile. Returns the band's row-XOR count.
-///
-/// This is the only phase that runs on worker threads. A row's result
-/// depends only on its own words and the sweep's fixed tables, so any
-/// partition of the rows into bands — and any schedule of those bands —
-/// produces bit-identical output.
-fn update_band(band: &mut [u64], band_start: usize, job: &SweepJob) -> usize {
-    let words = job.words;
-    let stride = words - job.w0;
-    let first_tile = stride.min(job.tile);
-    let n = band.len() / words;
-    let mask_a = (1usize << job.pa) - 1;
-    let mask_b = (1usize << job.pb) - 1;
-    let mask_c = (1usize << job.pc) - 1;
-    let (cols_a, rest) = job.cols.split_at(job.pa);
-    let (cols_b, cols_c) = rest.split_at(job.pb);
+/// Runs one sweep's row updates over the whole arena: per row, read the
+/// three table indices, then apply the fused table XOR, column tile by
+/// column tile. Returns the row-XOR count.
+fn update_rows(arena: &mut [u64], tables: &Tables, sweep: &Sweep) -> usize {
+    let words = sweep.words;
+    let stride = words - sweep.w0;
+    let first_tile = stride.min(sweep.tile);
+    let mask_a = (1usize << sweep.pa) - 1;
+    let mask_b = (1usize << sweep.pb) - 1;
+    let mask_c = (1usize << sweep.pc) - 1;
+    let (cols_a, rest) = sweep.cols.split_at(sweep.pa);
+    let (cols_b, cols_c) = rest.split_at(sweep.pb);
     let tiled = stride > first_tile;
     let mut indices: Vec<(u8, u8, u8)> = if tiled {
-        vec![(0, 0, 0); n]
+        vec![(0, 0, 0); arena.len() / words]
     } else {
         Vec::new()
     };
@@ -660,22 +437,16 @@ fn update_band(band: &mut [u64], band_start: usize, job: &SweepJob) -> usize {
     // First (or only) column tile: compute all three table indices while
     // the row's leading words are hot, buffer them if more tiles follow,
     // and apply the fused three-table XOR.
-    for (i, row) in band.chunks_exact_mut(words).enumerate() {
-        let r = band_start + i;
-        if r >= job.skip_start && r < job.skip_end {
+    for (r, row) in arena.chunks_exact_mut(words).enumerate() {
+        if sweep.pivot_rows.contains(&r) {
             continue;
         }
-        let (ia, ib, ic) = if job.contiguous {
-            let lo = row[job.w0] >> job.shift;
-            let window = if job.shift == 0 || job.w0 + 1 >= words {
-                lo as usize
-            } else {
-                (lo | (row[job.w0 + 1] << (64 - job.shift))) as usize
-            };
+        let (ia, ib, ic) = if sweep.contiguous {
+            let window = window_read(row, sweep.w0, sweep.shift);
             (
                 window & mask_a,
-                (window >> job.pa) & mask_b,
-                (window >> (job.pa + job.pb)) & mask_c,
+                (window >> sweep.pa) & mask_b,
+                (window >> (sweep.pa + sweep.pb)) & mask_c,
             )
         } else {
             (
@@ -685,17 +456,17 @@ fn update_band(band: &mut [u64], band_start: usize, job: &SweepJob) -> usize {
             )
         };
         if tiled {
-            indices[i] = (ia as u8, ib as u8, ic as u8);
+            indices[r] = (ia as u8, ib as u8, ic as u8);
         }
         if ia == 0 && ib == 0 && ic == 0 {
             continue;
         }
         xors += usize::from(ia != 0) + usize::from(ib != 0) + usize::from(ic != 0);
         apply_entries(
-            &mut row[job.w0..job.w0 + first_tile],
-            &job.tables.a[ia * stride..ia * stride + first_tile],
-            &job.tables.b[ib * stride..ib * stride + first_tile],
-            &job.tables.c[ic * stride..ic * stride + first_tile],
+            &mut row[sweep.w0..sweep.w0 + first_tile],
+            &tables.a[ia * stride..ia * stride + first_tile],
+            &tables.b[ib * stride..ib * stride + first_tile],
+            &tables.c[ic * stride..ic * stride + first_tile],
             ia,
             ib,
             ic,
@@ -705,18 +476,18 @@ fn update_band(band: &mut [u64], band_start: usize, job: &SweepJob) -> usize {
     // L2-resident slice of all three tables.
     let mut tw = first_tile;
     while tw < stride {
-        let tw_end = (tw + job.tile).min(stride);
-        for (i, row) in band.chunks_exact_mut(words).enumerate() {
-            let (ia, ib, ic) = indices[i];
+        let tw_end = (tw + sweep.tile).min(stride);
+        for (r, row) in arena.chunks_exact_mut(words).enumerate() {
+            let (ia, ib, ic) = indices[r];
             let (ia, ib, ic) = (ia as usize, ib as usize, ic as usize);
             if ia == 0 && ib == 0 && ic == 0 {
                 continue;
             }
             apply_entries(
-                &mut row[job.w0 + tw..job.w0 + tw_end],
-                &job.tables.a[ia * stride + tw..ia * stride + tw_end],
-                &job.tables.b[ib * stride + tw..ib * stride + tw_end],
-                &job.tables.c[ic * stride + tw..ic * stride + tw_end],
+                &mut row[sweep.w0 + tw..sweep.w0 + tw_end],
+                &tables.a[ia * stride + tw..ia * stride + tw_end],
+                &tables.b[ib * stride + tw..ib * stride + tw_end],
+                &tables.c[ic * stride + tw..ic * stride + tw_end],
                 ia,
                 ib,
                 ic,
@@ -751,54 +522,22 @@ fn apply_entries(
     }
 }
 
-/// The leftmost column `>= col_floor` in which any row at or below
-/// `row_start` has a one, found with word-skipping row scans (the banded
-/// analogue of `BitVec::first_one_in_range`).
-fn leading_column(
-    bands: &Bands<'_>,
-    nrows: usize,
-    ncols: usize,
-    row_start: usize,
-    col_floor: usize,
-) -> Option<usize> {
-    let words = bands.words;
-    let first_word = col_floor / 64;
-    let floor_mask = !0u64 << (col_floor % 64);
-    let mut best: Option<usize> = None;
-    for r in row_start..nrows {
-        let row = bands.row(r);
-        let limit_word = best.map_or(words - 1, |b| b / 64);
-        for (wi, &raw) in row.iter().enumerate().take(limit_word + 1).skip(first_word) {
-            let w = if wi == first_word {
-                raw & floor_mask
-            } else {
-                raw
-            };
-            if w != 0 {
-                let c = wi * 64 + w.trailing_zeros() as usize;
-                if c == col_floor {
-                    return Some(c);
-                }
-                if best.map_or(true, |b| c < b) {
-                    best = Some(c);
-                }
-                break;
-            }
-        }
-    }
-    best.filter(|&c| c < ncols)
-}
-
 /// Reads a row's sweep window (the up-to-24 bits starting at the sweep's
 /// first column) out of at most two row words.
 #[inline]
-fn window_read(row: &[u64], w0: usize, shift: usize, words: usize) -> usize {
+fn window_read(row: &[u64], w0: usize, shift: usize) -> usize {
     let lo = row[w0] >> shift;
-    if shift == 0 || w0 + 1 >= words {
+    if shift == 0 || w0 + 1 >= row.len() {
         lo as usize
     } else {
         (lo | (row[w0 + 1] << (64 - shift))) as usize
     }
+}
+
+/// Position, in pivot order, of the sweep pivot at window offset `off`.
+#[inline]
+fn pivot_index(pivot_mask: usize, off: usize) -> usize {
+    (pivot_mask & ((1usize << off) - 1)).count_ones() as usize
 }
 
 /// A row's window *as if* it had been cleared on the pivot columns found so
@@ -807,165 +546,21 @@ fn window_read(row: &[u64], w0: usize, shift: usize, words: usize) -> usize {
 /// in the corresponding pivot windows reproduces the cleanup's effect on the
 /// window bits.
 #[inline]
-fn post_window(row: &[u64], job: &ScanJob) -> usize {
-    let window = window_read(row, job.w0, job.shift, job.words);
+fn post_window(
+    row: &[u64],
+    w0: usize,
+    shift: usize,
+    pivot_mask: usize,
+    pivot_windows: &[usize],
+) -> usize {
+    let window = window_read(row, w0, shift);
     let mut post = window;
-    let mut dirty = window & job.pivot_mask;
+    let mut dirty = window & pivot_mask;
     while dirty != 0 {
-        let off = dirty.trailing_zeros() as usize;
-        let j = (job.pivot_mask & ((1usize << off) - 1)).count_ones() as usize;
-        post ^= job.pivot_windows[j];
+        post ^= pivot_windows[pivot_index(pivot_mask, dirty.trailing_zeros() as usize)];
         dirty &= dirty - 1;
     }
     post
-}
-
-/// Runs one pivot column's read-only scan over one band (rows
-/// `band_start..` globally): the first row at or past the job's
-/// destination whose post-cleanup window has the candidate bit set.
-fn scan_band(band: &[u64], band_start: usize, job: &ScanJob) -> Option<usize> {
-    let words = job.words;
-    let n = band.len() / words;
-    let start = job.from_row.saturating_sub(band_start).min(n);
-    for i in start..n {
-        let row = &band[i * words..(i + 1) * words];
-        if (post_window(row, job) >> job.c_off) & 1 == 1 {
-            return Some(band_start + i);
-        }
-    }
-    None
-}
-
-/// Establishes pivots for the sweep columns `col_start..col_end`, moving
-/// pivot rows to positions `block_start..`, reducing them to identity on the
-/// sweep's pivot columns, and returning the pivot columns found — the banded
-/// analogue of `BitMatrix::establish_block_pivots` in `m4rm.rs`, picking the
-/// same pivot rows so the RREFs stay identical.
-///
-/// The candidate scan is read-only window math (see [`ScanJob`]): no row is
-/// written while searching, and only the chosen pivot row is physically
-/// cleaned on the earlier pivot columns. Every *other* row keeps its pivot-
-/// column bits until the sweep's fused table XOR clears them wholesale —
-/// the Gray-code entry indexed by those bits is exactly the pivot-row
-/// combination the old per-row cleanup applied, so deferring it removes the
-/// scan's full-width row XORs without changing any result. Large scans fan
-/// out over the bands through `fan_out`; small ones run inline with early
-/// exit (see [`PAR_MIN_SCAN_ROWS`]).
-#[allow(clippy::too_many_arguments)]
-fn establish_block_pivots<'a, F>(
-    bands: &mut Bands<'a>,
-    nrows: usize,
-    block_start: usize,
-    col_start: usize,
-    col_end: usize,
-    stats: &mut GaussStats,
-    fan_out: &mut F,
-) -> Vec<usize>
-where
-    F: for<'b> FnMut(&'b mut Bands<'a>, Dispatch) -> DispatchOutcome,
-{
-    let w0 = col_start / 64;
-    let shift = col_start % 64;
-    let words = bands.words;
-    let mut pivot_cols: Vec<usize> = Vec::with_capacity(col_end - col_start);
-    // Offsets (relative to col_start) of the pivot columns found so far, as
-    // a bit mask over the sweep window, and the current pivot-row windows.
-    // The window spans `col_end - col_start <= 3k <= 24` bits, so one read
-    // of at most two row words yields every pivot-column bit of a row at
-    // once.
-    let mut pivot_mask: usize = 0;
-    let mut pivot_windows: Vec<usize> = Vec::with_capacity(col_end - col_start);
-    for c in col_start..col_end {
-        let dest = block_start + pivot_cols.len();
-        if dest >= nrows {
-            break;
-        }
-        let c_off = c - col_start;
-        let job = ScanJob {
-            words,
-            w0,
-            shift,
-            c_off,
-            pivot_mask,
-            pivot_windows: pivot_windows.clone(),
-            from_row: dest,
-        };
-        let found = if bands.len() > 1 && nrows - dest >= PAR_MIN_SCAN_ROWS {
-            match fan_out(bands, Dispatch::Scan(Arc::new(job))) {
-                DispatchOutcome::Scan(found) => found,
-                DispatchOutcome::Update { .. } => {
-                    unreachable!("scan dispatch returns a scan outcome")
-                }
-            }
-        } else {
-            (dest..nrows).find(|&r| (post_window(bands.row(r), &job) >> c_off) & 1 == 1)
-        };
-        let Some(found) = found else {
-            continue;
-        };
-        // Physically clean the chosen row on the earlier pivot columns (the
-        // scan left it untouched).
-        let mut dirty = window_read(bands.row(found), w0, shift, words) & pivot_mask;
-        while dirty != 0 {
-            let off = dirty.trailing_zeros() as usize;
-            let j = (pivot_mask & ((1usize << off) - 1)).count_ones() as usize;
-            bands.xor_row_into(block_start + j, found, w0);
-            stats.row_xors += 1;
-            dirty &= dirty - 1;
-        }
-        debug_assert!(bands.get_bit(found, c), "scan math matches the cleanup");
-        if found != dest {
-            bands.swap_rows(found, dest);
-            stats.row_swaps += 1;
-        }
-        // Back-eliminate column c from the earlier pivot rows of this
-        // sweep, keeping the pivot rows identity on the pivot columns (the
-        // property the independent Gray-code indices rely on).
-        for j in 0..pivot_cols.len() {
-            if bands.get_bit(block_start + j, c) {
-                bands.xor_row_into(dest, block_start + j, w0);
-                stats.row_xors += 1;
-            }
-        }
-        pivot_cols.push(c);
-        pivot_mask |= 1usize << c_off;
-        // Refresh the cached pivot windows: back-elimination rewrote the
-        // earlier pivot rows' non-pivot window bits and a new pivot row
-        // joined the block.
-        pivot_windows.clear();
-        for j in 0..pivot_cols.len() {
-            pivot_windows.push(window_read(bands.row(block_start + j), w0, shift, words));
-        }
-    }
-    pivot_cols
-}
-
-/// Builds the `2^p` Gray-code lookup table over rows
-/// `first_pivot_row..first_pivot_row + p`, each entry covering the row words
-/// from `w0` on. Each entry is derived from its predecessor with a single
-/// word-parallel XOR, so the whole table costs `2^p − 1` row XORs. With
-/// `p == 0` the table is untouched (all lookups hit the never-written zero
-/// entry 0).
-fn build_gray_table(
-    table: &mut [u64],
-    bands: &Bands<'_>,
-    first_pivot_row: usize,
-    p: usize,
-    w0: usize,
-    words: usize,
-    stats: &mut GaussStats,
-) {
-    let stride = words - w0;
-    let mut prev = 0usize;
-    for i in 1..(1usize << p) {
-        let gray = i ^ (i >> 1);
-        let bit = i.trailing_zeros() as usize;
-        table.copy_within(prev * stride..(prev + 1) * stride, gray * stride);
-        let pivot_words = &bands.row(first_pivot_row + bit)[w0..];
-        xor_words(&mut table[gray * stride..(gray + 1) * stride], pivot_words);
-        stats.row_xors += 1;
-        prev = gray;
-    }
 }
 
 /// Reads a row's bits at the sweep's pivot columns as a table index.
@@ -980,15 +575,15 @@ fn block_index(row: &[u64], pivot_cols: &[usize]) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::PAR_MIN_SCAN_ROWS;
+    use super::{m4rm_block_size, M4RM_MAX_BLOCK};
     use crate::testutil::splitmix_matrix;
     use crate::{BitMatrix, BitVec};
 
-    fn assert_matches_m4rm(m: &BitMatrix, k: usize) {
+    fn assert_matches_plain(m: &BitMatrix, k: usize) {
         let mut reference = m.clone();
-        let reference_stats = reference.gauss_jordan_m4rm_with_stats(8);
+        let reference_stats = reference.gauss_jordan_plain_with_stats();
         let mut blocked = m.clone();
-        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(k, 1);
+        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(k);
         assert_eq!(
             blocked_stats.rank,
             reference_stats.rank,
@@ -1005,33 +600,9 @@ mod tests {
         );
     }
 
-    /// The serial and parallel paths must agree bit for bit — RREF, rank
-    /// and the deterministic operation counts.
-    fn assert_thread_counts_agree(m: &BitMatrix, k: usize) {
-        let mut serial = m.clone();
-        let serial_stats = serial.gauss_jordan_blocked_m4rm_with_stats(k, 1);
-        for threads in [2usize, 3, 8] {
-            let mut par = m.clone();
-            let par_stats = par.gauss_jordan_blocked_m4rm_with_stats(k, threads);
-            assert_eq!(
-                par,
-                serial,
-                "parallel RREF diverged at {}x{}, k={k}, threads={threads}",
-                m.nrows(),
-                m.ncols()
-            );
-            assert_eq!(par_stats.rank, serial_stats.rank, "threads={threads}");
-            assert_eq!(
-                par_stats.row_xors, serial_stats.row_xors,
-                "threads={threads}"
-            );
-            assert_eq!(
-                par_stats.row_swaps, serial_stats.row_swaps,
-                "threads={threads}"
-            );
-            assert!(par_stats.threads >= 2 || m.nrows() < 2, "threads={threads}");
-        }
-    }
+    // The `*_m4rm_*` agreement tests keep their names from when the
+    // reference was the single-table M4RM kernel; the reference is now the
+    // schoolbook kernel.
 
     #[test]
     fn matches_m4rm_across_word_boundary_widths() {
@@ -1039,7 +610,7 @@ mod tests {
             for &rows in &[cols - 1, cols, cols + 3] {
                 let m = splitmix_matrix(rows, cols, (rows * 2000 + cols) as u64);
                 for k in [1usize, 3, 5, 8] {
-                    assert_matches_m4rm(&m, k);
+                    assert_matches_plain(&m, k);
                 }
             }
         }
@@ -1054,7 +625,7 @@ mod tests {
         for &cols in &[2048usize, 3000, 4096] {
             for &rows in &[33usize, 96] {
                 let m = splitmix_matrix(rows, cols, (rows * 31 + cols) as u64);
-                assert_matches_m4rm(&m, 8);
+                assert_matches_plain(&m, 8);
             }
         }
     }
@@ -1067,24 +638,24 @@ mod tests {
         let cols = 20_480;
         assert!(cols / 64 > blocked_tile_words(8));
         let m = splitmix_matrix(40, cols, 77);
-        assert_matches_m4rm(&m, 8);
+        assert_matches_plain(&m, 8);
     }
 
     #[test]
     fn matches_m4rm_on_rank_deficient_and_wide_tall_shapes() {
-        assert_matches_m4rm(&splitmix_matrix(300, 60, 11), 7);
-        assert_matches_m4rm(&splitmix_matrix(60, 300, 12), 7);
+        assert_matches_plain(&splitmix_matrix(300, 60, 11), 7);
+        assert_matches_plain(&splitmix_matrix(60, 300, 12), 7);
         let mut deficient = splitmix_matrix(90, 120, 13);
         for r in 0..30 {
             let dup = deficient.row(r).to_bitvec();
             deficient.set_row(r + 30, &dup);
             deficient.set_row(r + 60, &BitVec::zero(120));
         }
-        assert_matches_m4rm(&deficient, 8);
+        assert_matches_plain(&deficient, 8);
         assert!(
             deficient
                 .clone()
-                .gauss_jordan_blocked_m4rm_with_stats(8, 1)
+                .gauss_jordan_blocked_m4rm_with_stats(8)
                 .rank
                 <= 30
         );
@@ -1092,75 +663,45 @@ mod tests {
 
     #[test]
     fn square_dense_matches_plain_kernel_exactly() {
-        // Direct three-way agreement on a square dense matrix large enough
-        // to run several multi-sweep iterations.
+        // Direct agreement on a square dense matrix large enough to run
+        // several multi-sweep iterations.
         let m = splitmix_matrix(320, 320, 2019);
         let mut plain = m.clone();
         let plain_stats = plain.gauss_jordan_plain_with_stats();
         let mut blocked = m.clone();
-        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(8, 1);
+        let blocked_stats = blocked.gauss_jordan_blocked_m4rm_with_stats(8);
         assert_eq!(blocked_stats.rank, plain_stats.rank);
         assert_eq!(blocked, plain);
     }
 
     #[test]
-    fn parallel_update_is_bit_identical_at_paper_widths() {
-        // Deterministic spot checks at paper-scale widths, including the
-        // tiled update path; the exhaustive shape/width sweep lives in the
-        // property tests.
-        assert_thread_counts_agree(&splitmix_matrix(96, 4096, 5), 8);
-        assert_thread_counts_agree(&splitmix_matrix(40, 20_480, 78), 8);
-        assert_thread_counts_agree(&splitmix_matrix(320, 320, 2019), 8);
-        let mut deficient = splitmix_matrix(90, 120, 13);
-        for r in 0..30 {
-            let dup = deficient.row(r).to_bitvec();
-            deficient.set_row(r + 30, &dup);
-            deficient.set_row(r + 60, &BitVec::zero(120));
+    fn block_size_heuristic_is_monotonic_and_clamped() {
+        assert_eq!(m4rm_block_size(0, 0), 1);
+        assert_eq!(m4rm_block_size(1, 1), 1);
+        let mut last = 0usize;
+        for exp in 1..16 {
+            let k = m4rm_block_size(1 << exp, 1 << exp);
+            assert!(k >= last, "block size must not shrink with matrix size");
+            assert!((1..=M4RM_MAX_BLOCK).contains(&k));
+            last = k;
         }
-        assert_thread_counts_agree(&deficient, 8);
-    }
-
-    #[test]
-    fn deep_parallel_pivot_scans_are_bit_identical() {
-        // Tall enough to cross the scan fan-out gate, so pivot searches run
-        // band-parallel. The random shape finds pivots near the top; the
-        // bottom-heavy shape forces every scan through thousands of zero
-        // rows first (and, past rank exhaustion, to a no-pivot verdict).
-        let rows = PAR_MIN_SCAN_ROWS + 904;
-        assert_thread_counts_agree(&splitmix_matrix(rows, 192, 41), 8);
-        let mut bottom = BitMatrix::zero(rows, 192);
-        let dense = splitmix_matrix(100, 192, 42);
-        for r in 0..100 {
-            let row = dense.row(r).to_bitvec();
-            bottom.set_row(rows - 100 + r, &row);
-        }
-        assert_thread_counts_agree(&bottom, 8);
-    }
-
-    #[test]
-    fn oversubscribed_threads_are_clamped_to_rows() {
-        let m = splitmix_matrix(5, 70, 3);
-        let mut serial = m.clone();
-        serial.gauss_jordan_blocked_m4rm_with_stats(8, 1);
-        let mut par = m.clone();
-        let stats = par.gauss_jordan_blocked_m4rm_with_stats(8, 64);
-        assert_eq!(par, serial);
-        assert!(stats.threads <= 5, "one band per row at most");
-        assert_eq!(stats.bands, stats.threads);
+        assert_eq!(m4rm_block_size(1 << 20, 1 << 20), M4RM_MAX_BLOCK);
+        // Rectangular: governed by the smaller dimension.
+        assert_eq!(m4rm_block_size(1 << 20, 8), m4rm_block_size(8, 8));
     }
 
     #[test]
     fn handles_empty_and_degenerate_matrices() {
         let mut empty = BitMatrix::zero(0, 0);
-        assert_eq!(empty.gauss_jordan_blocked_m4rm_with_stats(4, 4).rank, 0);
+        assert_eq!(empty.gauss_jordan_blocked_m4rm_with_stats(4).rank, 0);
         let mut no_cols = BitMatrix::zero(5, 0);
-        assert_eq!(no_cols.gauss_jordan_blocked_m4rm_with_stats(4, 4).rank, 0);
+        assert_eq!(no_cols.gauss_jordan_blocked_m4rm_with_stats(4).rank, 0);
         let mut zero = BitMatrix::zero(9, 9);
-        let stats = zero.gauss_jordan_blocked_m4rm_with_stats(4, 4);
+        let stats = zero.gauss_jordan_blocked_m4rm_with_stats(4);
         assert_eq!(stats.rank, 0);
         assert_eq!(stats.row_xors, 0);
         let mut id = BitMatrix::identity(130);
-        assert_eq!(id.gauss_jordan_blocked_m4rm_with_stats(8, 3).rank, 130);
+        assert_eq!(id.gauss_jordan_blocked_m4rm_with_stats(8).rank, 130);
         assert_eq!(id, BitMatrix::identity(130));
     }
 
@@ -1171,8 +712,7 @@ mod tests {
             m.set(r, 5 + r, true);
             m.set(r, 2900 + (r % 25), true);
         }
-        assert_matches_m4rm(&m, 8);
-        assert_thread_counts_agree(&m, 8);
+        assert_matches_plain(&m, 8);
     }
 
     #[test]
@@ -1182,7 +722,7 @@ mod tests {
         token.cancel();
         let m = splitmix_matrix(96, 256, 9);
         let mut a = m.clone();
-        let stats = a.gauss_jordan_blocked_m4rm_cancellable(8, 2, &token);
+        let stats = a.gauss_jordan_blocked_m4rm_cancellable(8, &token);
         assert!(stats.interrupted);
         assert_eq!(stats.rank, 0, "no pivots established");
         assert_eq!(a, m, "no sweep ran, matrix untouched");
@@ -1192,20 +732,18 @@ mod tests {
     fn mid_run_cancellation_stops_between_sweeps() {
         use bosphorus_interrupt::CancelToken;
         // 320x320 at k=8 needs several sweeps (24 pivots each); tripping
-        // the token on its second poll stops after exactly one sweep, at
-        // every thread count, with the partial pivot count as the rank.
-        for threads in [1usize, 3] {
-            let token = CancelToken::new().cancel_after_checks(2);
-            let mut m = splitmix_matrix(320, 320, 2019);
-            let stats = m.gauss_jordan_blocked_m4rm_cancellable(8, threads, &token);
-            assert!(stats.interrupted, "threads={threads}");
-            assert!(stats.rank > 0, "one sweep committed (threads={threads})");
-            assert!(
-                stats.rank <= 24,
-                "at most one sweep's pivots (threads={threads}, rank={})",
-                stats.rank
-            );
-        }
+        // the token on its second poll stops after exactly one sweep, with
+        // the partial pivot count as the rank.
+        let token = CancelToken::new().cancel_after_checks(2);
+        let mut m = splitmix_matrix(320, 320, 2019);
+        let stats = m.gauss_jordan_blocked_m4rm_cancellable(8, &token);
+        assert!(stats.interrupted);
+        assert!(stats.rank > 0, "one sweep committed");
+        assert!(
+            stats.rank <= 24,
+            "at most one sweep's pivots (rank={})",
+            stats.rank
+        );
     }
 
     #[test]
@@ -1213,9 +751,9 @@ mod tests {
         use bosphorus_interrupt::CancelToken;
         let m = splitmix_matrix(96, 256, 9);
         let mut plain = m.clone();
-        let plain_stats = plain.gauss_jordan_blocked_m4rm_with_stats(8, 1);
+        let plain_stats = plain.gauss_jordan_blocked_m4rm_with_stats(8);
         let mut cancellable = m.clone();
-        let stats = cancellable.gauss_jordan_blocked_m4rm_cancellable(8, 1, &CancelToken::never());
+        let stats = cancellable.gauss_jordan_blocked_m4rm_cancellable(8, &CancelToken::never());
         assert!(!stats.interrupted);
         assert_eq!(stats, plain_stats);
         assert_eq!(cancellable, plain);

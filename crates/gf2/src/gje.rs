@@ -1,20 +1,17 @@
 //! Gauss–Jordan elimination, rank, kernel and linear-system solving.
 //!
-//! Three elimination kernels sit behind one API: the schoolbook kernel
-//! ([`BitMatrix::gauss_jordan_plain_with_stats`], kept as the reference
-//! baseline), the single-table Method-of-Four-Russians kernel
-//! ([`BitMatrix::gauss_jordan_m4rm_with_stats`]) and the cache-blocked
-//! multi-table kernel
-//! ([`BitMatrix::gauss_jordan_blocked_m4rm_with_stats`]). All three produce
+//! Two elimination kernels sit behind one API: the schoolbook kernel
+//! ([`BitMatrix::gauss_jordan_plain_with_stats`], kept for tiny matrices and
+//! as the tests' reference) and the cache-blocked multi-table M4RM kernel
+//! ([`BitMatrix::gauss_jordan_blocked_m4rm_with_stats`]). Both produce
 //! bit-identical RREF; [`BitMatrix::gauss_jordan_with_stats`] picks between
 //! them with [`select_kernel`], so `rank`, `rref`, `kernel` and `solve` all
 //! ride on the fast path.
 
 use bosphorus_interrupt::CancelToken;
 
-use crate::blocked::PAR_MIN_BAND_ROWS;
-use crate::m4rm::{m4rm_block_size, M4RM_MAX_BLOCK, M4RM_MIN_DIM};
-use crate::{BitMatrix, BitVec};
+use crate::blocked::M4RM_MIN_DIM;
+use crate::{m4rm_block_size, BitMatrix, BitVec};
 
 /// The elimination kernel [`select_kernel`] picked for a matrix shape.
 ///
@@ -25,76 +22,37 @@ use crate::{BitMatrix, BitVec};
 pub enum KernelChoice {
     /// Schoolbook Gauss–Jordan: one pivot column at a time.
     Plain,
-    /// Single-table Method of the Four Russians with this block width.
-    M4rm(usize),
     /// Cache-blocked multi-table M4RM (three Gray-code tables per sweep,
     /// column-tiled updates, in place over the matrix arena) with this
-    /// per-table block width, its update sweeps fanned across this many
-    /// row-band worker threads.
-    BlockedM4rm {
-        /// Per-table Gray-code block width, in `[1, 8]`.
-        block: usize,
-        /// Row-band update threads (1 = fully serial).
-        threads: usize,
-    },
+    /// per-table block width, in `[1, 8]`.
+    BlockedM4rm(usize),
 }
 
 /// Picks the elimination kernel for an `nrows × ncols` matrix from its
-/// dimensions, the cache-size estimate
-/// [`GF2_L2_CACHE_BYTES`](crate::GF2_L2_CACHE_BYTES), and the caller's
-/// requested update-thread count (`1` = serial; the engine plumbs its
-/// `--threads` setting through here).
-///
-/// The heuristic has two regimes:
+/// dimensions alone.
 ///
 /// * **Tiny** (`min(nrows, ncols) < 16`): schoolbook. A Gray-code table
-///   (and the band bookkeeping) costs more to set up than it saves when
-///   only a handful of rows need clearing per block.
+///   costs more to set up than it saves when only a handful of rows need
+///   clearing per block.
 /// * **Everything else**: the cache-blocked multi-table kernel with the
-///   [`m4rm_block_size`] per-table width. The recorded baseline
-///   (`BENCH_gje.json`) shows it beating single-table M4RM at every
-///   measured size — the contiguous arena and the windowed multi-index
-///   reads pay off well before memory effects do — so single-table M4RM is
-///   never auto-selected; it remains available explicitly
-///   ([`BitMatrix::gauss_jordan_m4rm_with_stats`]) as the reference the
-///   blocked kernel is checked and benchmarked against. The cache estimate
-///   steers the *shape* of the blocked kernel's work instead: matrices
-///   wider than [`blocked_tile_words`](crate::blocked_tile_words) have
-///   their updates column-tiled so all three Gray-code tables stay
-///   L2-resident.
+///   [`m4rm_block_size`] per-table width.
 ///
-/// The requested thread count is clamped so every row band keeps at least
-/// 64 rows: below that, the per-sweep channel round-trip costs more than
-/// the band's update work, so small matrices run serial no matter how many
-/// threads the caller offers. The result is bit-identical at every thread
-/// count; only wall-clock changes.
+/// The cache-size estimate [`GF2_L2_CACHE_BYTES`](crate::GF2_L2_CACHE_BYTES)
+/// plays no part in the choice; it only sets how the blocked kernel tiles
+/// its row updates ([`blocked_tile_words`](crate::blocked_tile_words)).
 ///
 /// ```
 /// use bosphorus_gf2::{select_kernel, KernelChoice};
-/// assert_eq!(select_kernel(8, 8, 4), KernelChoice::Plain);
-/// assert_eq!(
-///     select_kernel(512, 512, 1),
-///     KernelChoice::BlockedM4rm { block: 7, threads: 1 }
-/// );
+/// assert_eq!(select_kernel(8, 8), KernelChoice::Plain);
+/// assert_eq!(select_kernel(512, 512), KernelChoice::BlockedM4rm(7));
 /// // XL-shaped: few equations, tens of thousands of monomial columns.
-/// assert_eq!(
-///     select_kernel(2048, 16384, 4),
-///     KernelChoice::BlockedM4rm { block: 8, threads: 4 }
-/// );
-/// // Too few rows to split into 4 bands of >= 64 rows: runs serial.
-/// assert_eq!(
-///     select_kernel(100, 4096, 4),
-///     KernelChoice::BlockedM4rm { block: 5, threads: 1 }
-/// );
+/// assert_eq!(select_kernel(2048, 16384), KernelChoice::BlockedM4rm(8));
 /// ```
-pub fn select_kernel(nrows: usize, ncols: usize, threads: usize) -> KernelChoice {
+pub fn select_kernel(nrows: usize, ncols: usize) -> KernelChoice {
     if nrows.min(ncols) < M4RM_MIN_DIM {
-        return KernelChoice::Plain;
-    }
-    let max_threads = (nrows / PAR_MIN_BAND_ROWS).max(1);
-    KernelChoice::BlockedM4rm {
-        block: m4rm_block_size(nrows, ncols),
-        threads: threads.clamp(1, max_threads),
+        KernelChoice::Plain
+    } else {
+        KernelChoice::BlockedM4rm(m4rm_block_size(nrows, ncols))
     }
 }
 
@@ -111,16 +69,6 @@ pub struct GaussStats {
     pub row_xors: usize,
     /// Number of row swaps performed.
     pub row_swaps: usize,
-    /// Update threads actually used (after clamping; 1 = serial). The
-    /// counters above are identical at every thread count — the band
-    /// partition cannot change what any row computes.
-    pub threads: usize,
-    /// Row bands the arena was partitioned into (equals `threads` for the
-    /// blocked kernel, 1 for the serial kernels).
-    pub bands: usize,
-    /// Gray-code tables built per elimination sweep (0 schoolbook, 1
-    /// single-table M4RM, 3 blocked multi-table).
-    pub tables_per_sweep: usize,
     /// Whether the elimination observed cancellation and stopped early.
     /// When set, the matrix is only partially reduced (not RREF) and
     /// `rank` counts the pivots established so far; callers must discard
@@ -132,16 +80,11 @@ impl GaussStats {
     /// Folds another elimination's counters into this one. Used by callers
     /// that run several eliminations (e.g. ElimLin rounds) and report the
     /// cumulative work; `rank` accumulates too, so it becomes the *total*
-    /// rank across the merged eliminations. The configuration fields
-    /// (`threads`, `bands`, `tables_per_sweep`) keep the maximum seen, so a
-    /// mixed sequence reports its widest elimination.
+    /// rank across the merged eliminations.
     pub fn merge(&mut self, other: GaussStats) {
         self.rank += other.rank;
         self.row_xors += other.row_xors;
         self.row_swaps += other.row_swaps;
-        self.threads = self.threads.max(other.threads);
-        self.bands = self.bands.max(other.bands);
-        self.tables_per_sweep = self.tables_per_sweep.max(other.tables_per_sweep);
         self.interrupted |= other.interrupted;
     }
 }
@@ -163,7 +106,7 @@ impl BitMatrix {
     /// column contains exactly one `1` and pivot rows are sorted by pivot
     /// column, followed by all-zero rows.
     ///
-    /// Dispatches to the Method-of-Four-Russians kernel by default; see
+    /// Picks the kernel with [`select_kernel`]; see
     /// [`BitMatrix::gauss_jordan_with_stats`].
     ///
     /// # Examples
@@ -178,31 +121,26 @@ impl BitMatrix {
     /// assert_eq!(m.gauss_jordan(), 2);
     /// ```
     pub fn gauss_jordan(&mut self) -> usize {
-        self.gauss_jordan_with_stats(1).rank
+        self.gauss_jordan_with_stats().rank
     }
 
-    /// Like [`BitMatrix::gauss_jordan`] but also reports operation counts,
-    /// with row updates fanned across up to `threads` worker threads
-    /// (`1` = fully serial; the count is clamped by [`select_kernel`] so
-    /// every row band keeps enough work to pay for its hand-off).
+    /// Like [`BitMatrix::gauss_jordan`] but also reports operation counts.
     ///
     /// This is the unified elimination entry point: it dispatches on
     /// [`select_kernel`] — schoolbook for tiny matrices, the cache-blocked
-    /// multi-table kernel for everything else (single-table M4RM is never
-    /// auto-selected; it remains the explicit reference kernel). All kernels
-    /// produce bit-identical RREF at every thread count, so callers only
-    /// ever observe a change in speed.
+    /// multi-table kernel for everything else. Both kernels produce
+    /// bit-identical RREF, so callers only ever observe a change in speed.
     ///
     /// ```
     /// use bosphorus_gf2::BitMatrix;
     /// let mut m = BitMatrix::identity(100);
     /// m.set(99, 0, true);
-    /// let stats = m.gauss_jordan_with_stats(1);
+    /// let stats = m.gauss_jordan_with_stats();
     /// assert_eq!(stats.rank, 100);
     /// assert_eq!(m, BitMatrix::identity(100));
     /// ```
-    pub fn gauss_jordan_with_stats(&mut self, threads: usize) -> GaussStats {
-        self.gauss_jordan_cancellable(threads, &CancelToken::never())
+    pub fn gauss_jordan_with_stats(&mut self) -> GaussStats {
+        self.gauss_jordan_cancellable(&CancelToken::never())
     }
 
     /// Like [`BitMatrix::gauss_jordan_with_stats`], polling `token` at
@@ -213,16 +151,11 @@ impl BitMatrix {
     /// with [`GaussStats::interrupted`] set; the matrix is then only
     /// partially reduced, so callers must treat it as scratch and discard
     /// any facts they would otherwise read from the RREF.
-    pub fn gauss_jordan_cancellable(&mut self, threads: usize, token: &CancelToken) -> GaussStats {
-        match select_kernel(self.nrows(), self.ncols(), threads) {
+    pub fn gauss_jordan_cancellable(&mut self, token: &CancelToken) -> GaussStats {
+        match select_kernel(self.nrows(), self.ncols()) {
             KernelChoice::Plain => self.gauss_jordan_plain_cancellable(token),
-            // Not produced by select_kernel today, but the dispatch stays
-            // total so a retuned heuristic cannot silently miss a kernel.
-            // (The single-table reference kernel has no cancellation
-            // checkpoints; it is never auto-selected.)
-            KernelChoice::M4rm(k) => self.gauss_jordan_m4rm_with_stats(k),
-            KernelChoice::BlockedM4rm { block, threads } => {
-                self.gauss_jordan_blocked_m4rm_cancellable(block, threads, token)
+            KernelChoice::BlockedM4rm(block) => {
+                self.gauss_jordan_blocked_m4rm_cancellable(block, token)
             }
         }
     }
@@ -230,9 +163,10 @@ impl BitMatrix {
     /// Schoolbook Gauss–Jordan elimination: one pivot column at a time, one
     /// row XOR per offending row.
     ///
-    /// Kept as the reference baseline the M4RM kernel is checked and
-    /// benchmarked against (`gje_kernels` bench); production callers should
-    /// use [`BitMatrix::gauss_jordan_with_stats`] instead.
+    /// Kept as the small-matrix path and as the reference baseline the
+    /// blocked kernel is checked and benchmarked against (`gje_kernels`
+    /// bench); production callers should use
+    /// [`BitMatrix::gauss_jordan_with_stats`] instead.
     pub fn gauss_jordan_plain_with_stats(&mut self) -> GaussStats {
         self.gauss_jordan_plain_cancellable(&CancelToken::never())
     }
@@ -241,11 +175,7 @@ impl BitMatrix {
     /// once per pivot column (the schoolbook kernel only runs on tiny
     /// matrices, so per-column polling is already coarse).
     pub fn gauss_jordan_plain_cancellable(&mut self, token: &CancelToken) -> GaussStats {
-        let mut stats = GaussStats {
-            threads: 1,
-            bands: 1,
-            ..GaussStats::default()
-        };
+        let mut stats = GaussStats::default();
         let nrows = self.nrows();
         let ncols = self.ncols();
         let mut pivot_row = 0usize;
@@ -410,26 +340,6 @@ impl BitMatrix {
         }
         SolveOutcome::Solution(x)
     }
-
-    /// Blocked Gauss–Jordan elimination with an explicit block width.
-    /// Retained as a compatibility wrapper, now over the cache-blocked
-    /// multi-table kernel
-    /// ([`BitMatrix::gauss_jordan_blocked_m4rm_with_stats`]); the block
-    /// width is clamped to `[1, 8]`.
-    ///
-    /// The result (RREF and rank) is identical to [`BitMatrix::gauss_jordan`];
-    /// only the operation schedule differs.
-    pub fn gauss_jordan_blocked(&mut self, block: usize) -> usize {
-        self.gauss_jordan_blocked_with_stats(block).rank
-    }
-
-    /// Like [`BitMatrix::gauss_jordan_blocked`] but reports operation counts
-    /// instead of silently dropping them. Runs serial; use
-    /// [`BitMatrix::gauss_jordan_blocked_m4rm_with_stats`] directly for
-    /// band-parallel updates.
-    pub fn gauss_jordan_blocked_with_stats(&mut self, block: usize) -> GaussStats {
-        self.gauss_jordan_blocked_m4rm_with_stats(block.clamp(1, M4RM_MAX_BLOCK), 1)
-    }
 }
 
 #[cfg(test)]
@@ -490,7 +400,7 @@ mod tests {
 
     #[test]
     fn default_kernel_matches_plain_kernel() {
-        // The dispatcher (M4RM above the size threshold) must produce the
+        // The dispatcher (blocked M4RM above the size threshold) must produce the
         // exact RREF of the schoolbook kernel.
         let mut wide = BitMatrix::zero(48, 130);
         for r in 0..48 {
@@ -502,7 +412,7 @@ mod tests {
         }
         let mut plain = wide.clone();
         let plain_stats = plain.gauss_jordan_plain_with_stats();
-        let stats = wide.gauss_jordan_with_stats(1);
+        let stats = wide.gauss_jordan_with_stats();
         assert_eq!(stats.rank, plain_stats.rank);
         assert_eq!(wide, plain);
     }
@@ -564,9 +474,10 @@ mod tests {
     fn blocked_gje_matches_plain() {
         let m = paper_table1_matrix();
         let (plain, rank_plain) = m.rref();
-        for block in [1usize, 2, 3, 8, 16] {
+        // Out-of-range widths (0, 16) are clamped to [1, 8].
+        for block in [0usize, 1, 2, 3, 8, 16] {
             let mut b = m.clone();
-            let rank_b = b.gauss_jordan_blocked(block);
+            let rank_b = b.gauss_jordan_blocked_m4rm_with_stats(block).rank;
             assert_eq!(rank_b, rank_plain, "rank mismatch for block {block}");
             assert_eq!(b, plain, "RREF mismatch for block {block}");
         }
@@ -575,7 +486,7 @@ mod tests {
     #[test]
     fn blocked_gje_reports_stats() {
         let mut m = paper_table1_matrix();
-        let stats = m.gauss_jordan_blocked_with_stats(4);
+        let stats = m.gauss_jordan_blocked_m4rm_with_stats(4);
         assert_eq!(stats.rank, 6);
         assert!(stats.row_xors > 0, "elimination work must be counted");
     }
@@ -583,12 +494,10 @@ mod tests {
     #[test]
     fn stats_counts_operations() {
         let mut m = BitMatrix::from_dense(&[vec![false, true], vec![true, false]]);
-        let stats = m.gauss_jordan_with_stats(1);
+        let stats = m.gauss_jordan_with_stats();
         assert_eq!(stats.rank, 2);
         assert_eq!(stats.row_swaps, 1);
         assert_eq!(stats.row_xors, 0);
-        assert_eq!(stats.threads, 1);
-        assert_eq!(stats.tables_per_sweep, 0, "schoolbook builds no tables");
     }
 
     #[test]
@@ -598,18 +507,12 @@ mod tests {
             rank: 3,
             row_xors: 10,
             row_swaps: 1,
-            threads: 1,
-            bands: 1,
-            tables_per_sweep: 0,
             interrupted: false,
         });
         total.merge(GaussStats {
             rank: 2,
             row_xors: 4,
             row_swaps: 0,
-            threads: 4,
-            bands: 4,
-            tables_per_sweep: 3,
             interrupted: true,
         });
         assert_eq!(
@@ -618,9 +521,6 @@ mod tests {
                 rank: 5,
                 row_xors: 14,
                 row_swaps: 1,
-                threads: 4,
-                bands: 4,
-                tables_per_sweep: 3,
                 interrupted: true,
             }
         );
@@ -633,48 +533,24 @@ mod tests {
         // mid-size ElimLin matrices, paper-scale XL linearisations). A
         // change in any of these is a deliberate retuning, not drift.
         use crate::{select_kernel, KernelChoice};
-        let blocked = |block: usize, threads: usize| KernelChoice::BlockedM4rm { block, threads };
-        assert_eq!(select_kernel(0, 0, 1), KernelChoice::Plain);
-        assert_eq!(select_kernel(7, 128, 4), KernelChoice::Plain);
-        assert_eq!(select_kernel(15, 15, 1), KernelChoice::Plain);
-        assert_eq!(select_kernel(16, 16, 1), blocked(3, 1));
-        assert_eq!(select_kernel(64, 64, 1), blocked(5, 1));
-        assert_eq!(select_kernel(256, 256, 1), blocked(6, 1));
-        assert_eq!(select_kernel(1024, 1024, 1), blocked(8, 1));
-        assert_eq!(select_kernel(2048, 2048, 1), blocked(8, 1));
-        assert_eq!(select_kernel(4096, 4096, 1), blocked(8, 1));
+        let blocked = KernelChoice::BlockedM4rm;
+        assert_eq!(select_kernel(0, 0), KernelChoice::Plain);
+        assert_eq!(select_kernel(7, 128), KernelChoice::Plain);
+        assert_eq!(select_kernel(15, 15), KernelChoice::Plain);
+        assert_eq!(select_kernel(16, 16), blocked(3));
+        assert_eq!(select_kernel(64, 64), blocked(5));
+        assert_eq!(select_kernel(256, 256), blocked(6));
+        assert_eq!(select_kernel(1024, 1024), blocked(8));
+        assert_eq!(select_kernel(2048, 2048), blocked(8));
+        assert_eq!(select_kernel(4096, 4096), blocked(8));
         // XL-shaped: wide beyond cache even with modest row counts.
-        assert_eq!(select_kernel(2048, 16384, 1), blocked(8, 1));
+        assert_eq!(select_kernel(2048, 16384), blocked(8));
+        assert_eq!(select_kernel(100, 4096), blocked(5));
         // Tall and narrow: k comes from the smaller dimension.
-        assert_eq!(select_kernel(200_000, 24, 1), blocked(3, 1));
-        // Thread requests pass through when every band keeps >= 64 rows...
-        assert_eq!(select_kernel(4096, 4096, 4), blocked(8, 4));
-        assert_eq!(select_kernel(2048, 16384, 8), blocked(8, 8));
-        assert_eq!(select_kernel(256, 256, 4), blocked(6, 4));
-        // ...and clamp to serial (or fewer bands) when rows run short.
-        assert_eq!(select_kernel(100, 4096, 8), blocked(5, 1));
-        assert_eq!(select_kernel(192, 192, 8), blocked(6, 3));
-        assert_eq!(select_kernel(16, 16, 8), blocked(3, 1));
-        assert_eq!(select_kernel(4096, 4096, 0), blocked(8, 1));
+        assert_eq!(select_kernel(200_000, 24), blocked(3));
         // The dispatcher must agree with the choice (rank sanity check).
         let mut m = BitMatrix::identity(64);
-        assert_eq!(m.gauss_jordan_with_stats(1).rank, 64);
-        // Threaded dispatch produces the identical result.
-        let mut m2 = BitMatrix::identity(4096);
-        assert_eq!(m2.gauss_jordan_with_stats(4).rank, 4096);
-    }
-
-    #[test]
-    fn legacy_blocked_wrapper_rides_the_blocked_kernel() {
-        // The wrapper clamps out-of-range widths and still produces the
-        // canonical RREF.
-        let m = paper_table1_matrix();
-        let (plain, rank) = m.rref();
-        for block in [0usize, 1, 8, 100] {
-            let mut b = m.clone();
-            assert_eq!(b.gauss_jordan_blocked(block), rank, "block {block}");
-            assert_eq!(b, plain, "block {block}");
-        }
+        assert_eq!(m.gauss_jordan_with_stats().rank, 64);
     }
 
     #[test]

@@ -7,26 +7,26 @@
 //! 64 columns per `u64` word, so elementary row operations are word-parallel
 //! XORs.
 //!
-//! Three elimination kernels sit behind one API, picked automatically by
-//! [`select_kernel`] from the matrix shape and a cache-size estimate:
+//! Two elimination kernels sit behind one API, picked by [`select_kernel`]
+//! from the matrix shape alone:
 //!
-//! * a **schoolbook** reference kernel for tiny matrices,
-//! * a single-table **Method of the Four Russians** (M4RM): pivot columns
-//!   processed in Gray-code blocks of up to 8, each non-pivot row cleared
-//!   with one table lookup + one word-parallel XOR per block (see
-//!   [`m4rm_block_size`]),
-//! * a **cache-blocked multi-table** kernel for paper-scale matrices: three
-//!   Gray-code tables per sweep (one third the passes over the trailing
-//!   matrix), column-tiled row updates sized to [`GF2_L2_CACHE_BYTES`], all
-//!   in place over the matrix arena, and optionally band-parallel across
-//!   scoped worker threads (see `blocked.rs` and `crates/bench/DESIGN.md`).
+//! * a **schoolbook** reference kernel for tiny matrices (smaller dimension
+//!   below 16),
+//! * a **cache-blocked multi-table Method of the Four Russians** (M4RM)
+//!   kernel for everything else: pivot columns processed in Gray-code blocks
+//!   of up to 8 per table (see [`m4rm_block_size`]), three tables per sweep
+//!   (one third the passes over the trailing matrix), each non-pivot row
+//!   cleared with one fused table XOR, and column-tiled row updates sized to
+//!   [`GF2_L2_CACHE_BYTES`], all in place over the matrix arena (see
+//!   `blocked.rs` and `crates/bench/DESIGN.md`).
 //!
-//! All three produce bit-identical RREF at every thread count, so
-//! `gauss_jordan`, `rank`, `rref`, `kernel` and `solve` all ride on the fast
-//! path transparently. [`BitMatrix`] stores its rows in one contiguous
-//! `Vec<u64>` arena with a fixed per-row word stride, which is what lets the
-//! blocked kernel eliminate in place and hand disjoint row bands to worker
-//! threads without copying.
+//! Both produce bit-identical RREF, so `gauss_jordan`, `rank`, `rref`,
+//! `kernel` and `solve` all ride on the fast path transparently.
+//! [`BitMatrix`] stores its rows in one contiguous `Vec<u64>` arena with a
+//! fixed per-row word stride, which is what lets the blocked kernel
+//! eliminate in place without copying. Parallelism lives one level up: the
+//! sparse presolve ([`SparseMatrix::rref`]) eliminates its independent
+//! residual components on [`run_indexed`] workers.
 //!
 //! # Examples
 //!
@@ -51,15 +51,13 @@
 
 mod blocked;
 mod gje;
-mod m4rm;
 mod matrix;
 pub mod parallel;
 pub mod sparse;
 mod vector;
 
-pub use blocked::{blocked_tile_words, GF2_L2_CACHE_BYTES};
+pub use blocked::{blocked_tile_words, m4rm_block_size, GF2_L2_CACHE_BYTES, M4RM_MAX_BLOCK};
 pub use gje::{select_kernel, GaussStats, KernelChoice, SolveOutcome};
-pub use m4rm::{m4rm_block_size, M4RM_MAX_BLOCK};
 pub use matrix::{BitMatrix, RowRef};
 pub use parallel::{run_indexed, try_run_indexed, WorkerPanic};
 pub use sparse::{PresolveStats, SparseMatrix, SparseRref, SUBSET_CANDIDATE_LIMIT};

@@ -13,8 +13,8 @@ use crate::BitVec;
 /// allocations: the elimination kernels work in place on the arena through
 /// word-level row views ([`BitMatrix::row_words`],
 /// [`BitMatrix::row_words_mut`], [`BitMatrix::row_pair_mut`]) without
-/// flattening or read-back copies, and row bands of the arena can be handed
-/// to worker threads as disjoint `&mut [u64]` slices.
+/// flattening or read-back copies, and the blocked kernel's update pass
+/// streams the whole arena as one contiguous slice.
 ///
 /// The matrix supports the elementary row operations needed by Gauss–Jordan
 /// elimination (row swap, row XOR) as word-parallel operations, which is what

@@ -1,14 +1,12 @@
 //! Deterministic fork–join helpers shared across the workspace.
 //!
-//! This module hosts the scoped-thread fan-out primitive that used to live
-//! in `bosphorus_bench::parallel` (which now re-exports it): embarrassingly
-//! parallel task grids — Table II solver runs, bench sweeps — fan across
-//! `std::thread::scope` workers that pull indices from a shared atomic
-//! counter, and every result lands in its own slot, so the output order is
-//! independent of scheduling. The gf2 elimination kernels use the same
-//! scoped-thread discipline for their band-parallel update sweeps (see
-//! `blocked.rs`): all parallelism in the workspace is structured, scoped and
-//! deterministic in its observable results.
+//! This module hosts the scoped-thread fan-out primitive: embarrassingly
+//! parallel task grids — the sparse presolve's independent dense components,
+//! Table II solver runs, bench sweeps — fan across `std::thread::scope`
+//! workers that pull indices from a shared atomic counter, and every result
+//! lands in its own slot, so the output order is independent of scheduling.
+//! All parallelism in the workspace is structured, scoped and deterministic
+//! in its observable results.
 //!
 //! Worker panics are contained: [`try_run_indexed`] catches a panicking
 //! task, lets the remaining workers drain, and reports a [`WorkerPanic`]

@@ -52,9 +52,9 @@
 //! The residual components are independent column-compacted matrices, so
 //! their dense eliminations are dispatched over [`crate::parallel`] —
 //! largest component first, results stitched back in original component
-//! order, cancellation polled per component — while [`select_kernel`]
-//! (via `gauss_jordan_cancellable`) still decides per component whether the
-//! dense kernel itself band-parallelises with the threads left over.
+//! order, cancellation polled per component. Each component's elimination
+//! is serial; [`select_kernel`] (via `gauss_jordan_cancellable`) picks its
+//! kernel from the component's shape.
 //!
 //! Cancellation is transactional: the presolve loops poll an amortised
 //! [`Checkpoint`] and the component eliminations poll the token once per
@@ -294,8 +294,8 @@ impl SparseMatrix {
     }
 
     /// Presolves and eliminates, returning the full RREF (see
-    /// [`SparseRref`]). `threads` is the row-band parallelism handed to each
-    /// dense core elimination; the result is identical at every thread
+    /// [`SparseRref`]). `threads` is the number of residual components
+    /// eliminated in parallel; the result is identical at every thread
     /// count.
     pub fn rref(self, threads: usize) -> SparseRref {
         self.rref_cancellable(threads, &CancelToken::never())
@@ -778,8 +778,6 @@ fn interrupted_result(presolver: Presolver, partial_dense_rank: usize) -> Sparse
         gauss: GaussStats {
             rank,
             row_xors: presolver.xors,
-            threads: 1,
-            bands: 1,
             interrupted: true,
             ..GaussStats::default()
         },
@@ -859,7 +857,6 @@ fn presolve_rref(
     } else {
         1
     };
-    let inner_threads = (threads / comp_jobs).max(1);
 
     struct CompOutcome {
         stats: GaussStats,
@@ -875,13 +872,6 @@ fn presolve_rref(
             }
             let rows = &comp_rows[i];
             let cols = &comp_cols[i];
-            // Tiny cores would only pay the band-pool setup cost; keep them
-            // on the component's own thread.
-            let comp_threads = if rows.len() < crate::blocked::PAR_MIN_BAND_ROWS {
-                1
-            } else {
-                inner_threads
-            };
             let mut dense = BitMatrix::zero(rows.len(), cols.len());
             for (local_r, &r) in rows.iter().enumerate() {
                 for c in live_rows[r].as_ref().expect("grouped rows are live") {
@@ -890,7 +880,7 @@ fn presolve_rref(
                 }
             }
             let dense_started = std::time::Instant::now();
-            let stats = dense.gauss_jordan_cancellable(comp_threads, token);
+            let stats = dense.gauss_jordan_cancellable(token);
             let dense_elapsed = dense_started.elapsed();
             let mut out_rows = Vec::new();
             if !stats.interrupted {
@@ -979,8 +969,6 @@ fn presolve_rref(
 
     gauss.rank += presolver.set_asides.len();
     gauss.row_xors += presolver.xors + backsub_xors;
-    gauss.threads = gauss.threads.max(comp_jobs).max(1);
-    gauss.bands = gauss.bands.max(1);
     debug_assert_eq!(gauss.rank, rows_out.len());
     presolver.stats.dense_ns = dense_elapsed.as_nanos() as u64;
     presolver.stats.presolve_ns =

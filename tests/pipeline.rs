@@ -201,3 +201,50 @@ fn interrupted_simon_2_8_preprocess_commits_a_prefix_of_the_full_run() {
         "interrupted run committed partial work"
     );
 }
+
+#[test]
+fn simon_2_8_xl_elimlin_operation_counts_are_pinned_at_every_thread_count() {
+    // Engine-level pin of the dense kernel's operation schedule: the facts,
+    // ranks and row-XOR counts each pass reports on Simon-[2,8] must stay
+    // exactly these numbers, serial and with component-parallel
+    // eliminations alike. A change here means the elimination did
+    // different work, not merely that it ran faster or slower.
+    use bosphorus_repro::core::PassKind;
+    let path = format!(
+        "{}/examples/instances/simon_2_8.anf",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let system = bosphorus_repro::anf::PolynomialSystem::parse(&text)
+        .unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    for threads in [1usize, 2] {
+        let config = BosphorusConfig {
+            pass_order: vec![PassKind::Xl, PassKind::ElimLin],
+            threads,
+            ..BosphorusConfig::default()
+        };
+        let mut engine = Bosphorus::new(system.clone(), config);
+        let _ = engine.preprocess();
+        let stats = engine.stats();
+        assert_eq!(stats.iterations, 3, "threads={threads}");
+        assert_eq!(stats.gauss_row_xors, 8651, "threads={threads}");
+        let pinned: Vec<(&str, usize, usize, usize, usize)> = stats
+            .passes
+            .iter()
+            .map(|p| {
+                (
+                    p.name.as_str(),
+                    p.runs,
+                    p.facts,
+                    p.gauss.rank,
+                    p.gauss.row_xors,
+                )
+            })
+            .collect();
+        assert_eq!(
+            pinned,
+            vec![("xl", 3, 25, 2964, 6593), ("elimlin", 2, 49, 1082, 2058)],
+            "threads={threads}: (pass, runs, facts, gauss rank, gauss row_xors)"
+        );
+    }
+}
